@@ -83,5 +83,5 @@ if not _numba_disabled():
         simplex_project = njit(cache=True)(_simplex_project_py)
         dual_ascent = njit(cache=True)(_dual_ascent_py)
         NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
+    except ImportError:  # numba is an optional extra
         pass

@@ -78,10 +78,21 @@ class ProxObjective:
         l_one = self.target.base.profile.l_one
         return self.eta / (1.0 + self.eta * self.target.mu + self.eta * l_one)
 
+    @property
+    def quad_center(self) -> Array:
+        """Minimizer eta_mu * (mu*x0 + y/eta) of ``quad_part``."""
+        return self.eta_mu * (self.target.mu * self.target.center + self.y / self.eta)
+
     def value(self, x: Array) -> float:
-        x = _check_point(x, self.dim)
+        return self._value(_check_point(x, self.dim))
+
+    def _value(self, x: Array, f_x=None) -> float:
+        """``value`` at a shape-(dim,) float array, without the shape check.
+
+        ``f_x`` is f(x) when the caller has already queried it.
+        """
         dy = x - self.y
-        return self.target.value(x) + float(dy @ dy) / (2.0 * self.eta)
+        return self.target._value(x, f_x) + float(dy @ dy) / (2.0 * self.eta)
 
     def quad_part(self, x: Array) -> float:
         """The non-plane part (mu/2)||x-x0||^2 + ||x-y||^2/(2 eta)."""
@@ -161,15 +172,21 @@ def solve_model_subproblem(
     the primal-dual gap of the model subproblem; the solve stops once
     gap <= gap_tol or no plane outside the support can raise the dual
     beyond rounding.  ``max_dual_iter`` caps the total number of pivots;
-    reaching it raises ``DualSolverError``.
+    reaching it raises ``DualSolverError``.  One plane (the usual case at
+    regime step sizes) has the closed form u = c - eta_mu * slope and skips
+    the solver; the result is the same to the bit.
 
     Returns (x, value) where value is the model objective at x.
     """
     if len(planes) == 0:
         raise ValueError("need at least one cutting plane")
+    c = obj.quad_center
+    if len(planes) == 1:
+        plane = planes[0]
+        x = c - obj.eta_mu * np.asarray(plane.slope, dtype=float)
+        return x, plane(x) + obj.quad_part(x)
     S = np.stack([p.slope for p in planes])
     b = np.array([p.offset for p in planes])
-    c = obj.eta_mu * (obj.target.mu * obj.target.center + obj.y / obj.eta)
     x, _, _ = _active_set_dual(S, b, c, obj.eta_mu, gap_tol, max_dual_iter)
     value = model_value(planes, x) + obj.quad_part(x)
     return x, value
@@ -202,14 +219,13 @@ def _active_set_dual(S, b, c, curv, gap_tol, max_pivots):
     d + 1 planes active), where G is singular, enters by a ray step along
     which u(w) is fixed and the dual grows linearly; the step ends when a
     support weight reaches zero and that index leaves.  One plane or
-    all-zero slopes need no pivot.
+    all-zero slopes need no pivot, and a one-index support needs no
+    factorization.
 
     Returns (u, gap, pivots); raises DualSolverError when another pivot
     would exceed ``max_pivots``.
     """
     n = S.shape[0]
-    if n == 1:
-        return c - curv * S[0], 0.0, 0
     gamma0 = b + S @ c
     sq_norms = np.einsum("ij,ij->i", S, S)
     support = [int(np.argmax(gamma0 - 0.5 * curv * sq_norms))]
@@ -251,8 +267,8 @@ def _active_set_dual(S, b, c, curv, gap_tol, max_pivots):
 
     while True:
         p0, rest = support[0], support[1:]
-        q, r = np.linalg.qr((S[rest] - S[p0]).T)
         if rest:
+            q, r = np.linalg.qr((S[rest] - S[p0]).T)
             # maximizer of the dual on the affine hull of the support
             h = gamma0[rest] - gamma0[p0]
             z = np.linalg.solve(r, np.linalg.solve(r.T, h) / curv - q.T @ S[p0])
@@ -279,9 +295,13 @@ def _active_set_dual(S, b, c, curv, gap_tol, max_pivots):
             return u, gap, pivots
         count_pivot()
         step = S[j] - S[p0]
-        coef = np.linalg.solve(r, q.T @ step)
+        if rest:
+            coef = np.linalg.solve(r, q.T @ step)
+            resid = step - q @ (q.T @ step)
+        else:
+            coef, resid = np.zeros(0), step
         support.append(j)
-        if float(np.linalg.norm(step - q @ (q.T @ step))) > slope_tol:
+        if float(np.linalg.norm(resid)) > slope_tol:
             continue
         # S[j] lies in the affine hull of the support: ray step along d with
         # S'd = 0, sum(d) = 0 and d_j = 1, on which the dual grows linearly
@@ -375,11 +395,14 @@ def prox_bundle(
     f = obj.target.base
     gap_tol = min(delta / 100.0, 1e-10)
 
-    x_prev = obj.y
-    planes = [CuttingPlane(anchor=obj.y, f_val=f.value(obj.y), slope=f.subgrad(obj.y))]
+    # each point gets one value query, shared by its plane and its objective
+    y = obj.y
+    f_y = f.value(y)
+    x_prev = y
+    planes = [CuttingPlane(anchor=y, f_val=f_y, slope=f.subgrad(y))]
     oracle_calls = 1
-    x_best = obj.y
-    best_value = obj.value(obj.y)
+    x_best = y
+    best_value = obj._value(y, f_y)
 
     gaps = []
     step_norms = []
@@ -388,13 +411,15 @@ def prox_bundle(
         x_j, m_j = solve_model_subproblem(
             planes, obj, gap_tol=gap_tol, max_dual_iter=max_dual_iter
         )
-        val_j = obj.value(x_j)
+        f_j = f.value(x_j)
+        val_j = obj._value(x_j, f_j)
         if val_j < best_value:
             x_best = x_j
             best_value = val_j
         t_j = best_value - m_j
         gaps.append(t_j)
-        step_norms.append(float(np.linalg.norm(x_j - x_prev)))
+        step = x_j - x_prev
+        step_norms.append(math.sqrt(step @ step))
         model_points.append(x_j)
         x_prev = x_j
         if t_j <= delta:
@@ -412,9 +437,7 @@ def prox_bundle(
                 model_points=tuple(model_points),
                 planes=tuple(planes),
             )
-        planes.append(
-            CuttingPlane(anchor=x_j, f_val=f.value(x_j), slope=f.subgrad(x_j))
-        )
+        planes.append(CuttingPlane(anchor=x_j, f_val=f_j, slope=f.subgrad(x_j)))
         oracle_calls += 1
 
     last = BundleResult(

@@ -104,17 +104,18 @@ class ChainTrace:
         header = (
             "k," + ",".join(f"x{i}" for i in range(d)) + ",rejections,bundle_iters,subgrad_calls"
         )
+        # repr of a Python float is its shortest round-trip form
+        xs = self.iterates.tolist()
+        counts = zip(
+            self.rejections.tolist(), self.bundle_iters.tolist(), self.subgrad_calls.tolist()
+        )
         with open(path, "w") as fh:
             fh.write(header + "\n")
-            for k in range(self.iterates.shape[0]):
-                xs = ",".join(repr(float(v)) for v in self.iterates[k])
-                if k == 0:
-                    fh.write(f"0,{xs},0,0,0\n")
-                else:
-                    fh.write(
-                        f"{k},{xs},{int(self.rejections[k - 1])},"
-                        f"{int(self.bundle_iters[k - 1])},{int(self.subgrad_calls[k - 1])}\n"
-                    )
+            fh.write(",".join(map(repr, [0, *xs[0], 0, 0, 0])) + "\n")
+            fh.writelines(
+                ",".join(map(repr, [k, *x, *c])) + "\n"
+                for k, (x, c) in enumerate(zip(xs[1:], counts), start=1)
+            )
 
 
 @dataclass(frozen=True)

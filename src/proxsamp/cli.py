@@ -221,13 +221,12 @@ def cmd_sample(args) -> int:
             traces = list(pool.map(_run_one_chain, payloads))
     else:
         traces = [_run_one_chain(pl) for pl in payloads]
-    wall = time.perf_counter() - t0
-
     csv_paths = []
     for i, trace in enumerate(traces):
         path = os.path.join(out_dir, f"chain_{i:03d}.csv")
         trace.to_csv(path)
         csv_paths.append(path)
+    wall = time.perf_counter() - t0  # chains and their CSV files
 
     totals = {
         "rejections": sum(t.totals()["rejections"] for t in traces),
@@ -272,7 +271,7 @@ def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     reports = run_suites(names)
     payload = {"passed": all(r.passed for r in reports), "suites": [r.to_dict() for r in reports]}
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_fallback)
+    text = json.dumps(_strict_json(payload), indent=2, sort_keys=True, allow_nan=False)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -280,14 +279,18 @@ def cmd_verify(args) -> int:
     return 0 if payload["passed"] else 1
 
 
-def _json_fallback(obj):
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
+def _strict_json(obj):
+    """Plain JSON values: numpy scalars and arrays become Python ones and
+    non-finite floats the strings "inf", "-inf" and "nan"."""
+    if isinstance(obj, dict):
+        return {k: _strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(v) for v in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _strict_json(obj.tolist())
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    return obj
 
 
 def cmd_config(args) -> int:

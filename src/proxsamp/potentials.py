@@ -94,9 +94,17 @@ class RegularizedTarget:
         object.__setattr__(self, "center", center)
 
     def value(self, x: Array) -> float:
-        x = _check_point(x, self.base.dim)
+        return self._value(_check_point(x, self.base.dim))
+
+    def _value(self, x: Array, f_x=None) -> float:
+        """``value`` at a shape-(dim,) float array, without the shape check.
+
+        ``f_x`` is f(x) when the caller has already queried it.
+        """
+        if f_x is None:
+            f_x = self.base.value(x)
         dx = x - self.center
-        return float(self.base.value(x)) + 0.5 * self.mu * float(dx @ dx)
+        return float(f_x) + 0.5 * self.mu * float(dx @ dx)
 
     def subgrad(self, x: Array) -> Array:
         x = _check_point(x, self.base.dim)
@@ -200,7 +208,7 @@ def make_l1(dim: int, scale: float = 1.0) -> Potential:
     s = float(scale)
 
     def value(x):
-        return s * float(np.sum(np.abs(x)))
+        return s * float(np.abs(x).sum())
 
     def subgrad(x):
         return s * np.sign(x)
@@ -280,6 +288,11 @@ def make_power_norm(dim: int, alpha: float, c: float = 1.0) -> Potential:
             )
             return (t / r) * y
 
+    # E||x||^4: with k = alpha + 1, c ||x||^k / k is Gamma(d/k)-distributed
+    k = a + 1.0
+    m4 = (k / cc) ** (4.0 / k) * math.exp(
+        math.lgamma((dim + 4.0) / k) - math.lgamma(dim / k)
+    )
     return Potential(
         dim=dim,
         value=value,
@@ -288,6 +301,7 @@ def make_power_norm(dim: int, alpha: float, c: float = 1.0) -> Potential:
         prox=prox,
         x_min=np.zeros(dim),
         f_min=0.0,
+        fourth_moment=m4,
         name="power_norm",
     )
 
@@ -305,7 +319,7 @@ def make_quad_plus_l1(
 
     def value(x):
         x = np.asarray(x, dtype=float)
-        return 0.5 * float(q @ (x * x)) + s * float(np.sum(np.abs(x)))
+        return 0.5 * float(q @ (x * x)) + s * float(np.abs(x).sum())
 
     def subgrad(x):
         x = np.asarray(x, dtype=float)
@@ -343,7 +357,7 @@ def make_hinge_sum(dim: int, planes: Sequence[tuple]) -> Potential:
         raise ValueError(f"plane normals have dim {A.shape[1]}, expected {dim}")
 
     def value(x):
-        return float(np.sum(np.maximum(A @ np.asarray(x, dtype=float) + b, 0.0)))
+        return float(np.maximum(A @ np.asarray(x, dtype=float) + b, 0.0).sum())
 
     def subgrad(x):
         active = (A @ np.asarray(x, dtype=float) + b) > 0.0

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .bundle import BundleResult, ProxObjective, prox_bundle
-from .potentials import Array, SmoothnessProfile
+from .potentials import Array, SmoothnessProfile, _check_point
 
 
 class StepSizeWarning(UserWarning):
@@ -120,16 +120,15 @@ def prox_of_target(obj: ProxObjective) -> Array:
     """Closed-form prox of g at y, reduced to the base potential's prox.
 
     For mu > 0 the two quadratics merge, shifting the prox center:
-    Prox_{eta g}(y) = Prox_{eta_mu f}(eta_mu (mu x0 + y/eta)).
+    Prox_{eta g}(y) = Prox_{eta_mu f}(eta_mu (mu x0 + y/eta)).  The
+    potential's prox is user code, so its output shape is checked here.
     """
     base = obj.target.base
     if base.prox is None:
         raise ValueError(f"potential {base.name!r} has no closed-form prox")
-    mu = obj.target.mu
-    if mu == 0.0:
-        return np.asarray(base.prox(obj.eta, obj.y), dtype=float)
-    v = obj.eta_mu * (mu * obj.target.center + obj.y / obj.eta)
-    return np.asarray(base.prox(obj.eta_mu, v), dtype=float)
+    if obj.target.mu == 0.0:
+        return _check_point(base.prox(obj.eta, obj.y), obj.dim)
+    return _check_point(base.prox(obj.eta_mu, obj.quad_center), obj.dim)
 
 
 def step_condition_ok(
@@ -191,7 +190,8 @@ def rgo_sample(
     The proposal is N(center, eta_mu I); acceptance is tested in log space
     (log U <= h1(X) - g_y^eta(X)) to avoid underflow.  In bundle mode the
     cutting-plane run happens once per call and its center is reused across
-    all proposals.
+    all proposals.  The points this builds itself (center and proposals) are
+    evaluated without shape checks.
     """
     if not math.isclose(cfg.eta, obj.eta, rel_tol=1e-12):
         raise ValueError(f"config eta {cfg.eta} differs from objective eta {obj.eta}")
@@ -211,7 +211,7 @@ def rgo_sample(
     subgrad_calls = 0
     if cfg.mode == "exact":
         center = prox_of_target(obj)
-        offset = obj.value(center)
+        offset = obj._value(center)
     else:
         res: BundleResult = prox_bundle(obj, cfg.delta, max_iter=bundle_max_iter)
         center = res.x_model
@@ -225,7 +225,7 @@ def rgo_sample(
         x = center + scale * rng.standard_normal(dim)
         d = x - center
         h1_x = float(d @ d) * inv_two_eta_mu + offset
-        log_ratio = h1_x - obj.value(x)
+        log_ratio = h1_x - obj._value(x)
         if log_ratio > 1e-9:
             raise EnvelopeViolationError(
                 f"lower envelope exceeds target by {log_ratio:.3e} at a proposal; "

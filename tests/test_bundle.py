@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from proxsamp import (
     select_params_semismooth,
     solve_model_subproblem,
 )
-from proxsamp.bundle import model_value
+from proxsamp.bundle import _active_set_dual, model_value
 from proxsamp.potentials import sample_in_ball
 
 
@@ -123,6 +125,54 @@ class TestModelSubproblem:
             # no grid point beats x, globally or in a fine patch around it
             assert val <= objective(box).min() + 1e-12
             assert val <= objective(x + patch).min() + 1e-12
+
+
+class TestUncheckedPaths:
+    """The unchecked internal evaluations agree with the public ones to the bit."""
+
+    @pytest.mark.parametrize("name", ["l1", "power_norm", "quad_plus_l1", "hinge_sum", "gaussian"])
+    @pytest.mark.parametrize("mu", [0.0, 0.4])
+    def test_value_paths_agree_exactly(self, name, mu):
+        dim = 3
+        pot = default_zoo(dim)[name]
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            obj = make_obj(pot, mu, rng.standard_normal(dim), rng.uniform(0.05, 2.0), rng.standard_normal(dim) * 2.0)
+            x = rng.standard_normal(dim) * 3.0
+            assert obj._value(x) == obj.value(x)
+            assert obj._value(x, pot.value(x)) == obj.value(x)
+            assert obj.target._value(x) == obj.target.value(x)
+
+    @pytest.mark.parametrize("name", ["l1", "power_norm", "quad_plus_l1", "hinge_sum", "gaussian"])
+    @pytest.mark.parametrize("mu", [0.0, 0.4])
+    def test_one_plane_closed_form_matches_active_set(self, name, mu):
+        dim = 4
+        pot = default_zoo(dim)[name]
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            obj = make_obj(pot, mu, rng.standard_normal(dim), rng.uniform(0.05, 2.0), rng.standard_normal(dim) * 2.0)
+            plane = plane_at(pot, obj.y + rng.standard_normal(dim))
+            x, val = solve_model_subproblem([plane], obj)
+            u, gap, pivots = _active_set_dual(
+                plane.slope[None, :], np.array([plane.offset]), obj.quad_center, obj.eta_mu, 1e-10, 10
+            )
+            assert (gap, pivots) == (0.0, 0)
+            assert x.tolist() == u.tolist()
+            assert val == model_value([plane], u) + obj.quad_part(u)
+
+    @pytest.mark.parametrize("name", ["l1", "power_norm", "quad_plus_l1", "hinge_sum", "gaussian"])
+    def test_one_value_query_per_point(self, name):
+        # y and every model minimizer x_j are evaluated once each
+        dim = 4
+        calls = []
+        base = default_zoo(dim)[name]
+        pot = dataclasses.replace(base, value=lambda x: calls.append(1) or base.value(x))
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            obj = make_obj(pot, 0.1, np.zeros(dim), 0.5, rng.standard_normal(dim) * 2.0)
+            calls.clear()
+            res = prox_bundle(obj, delta=1e-3)
+            assert len(calls) == res.iterations + 1
 
 
 class TestProxBundle:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from proxsamp import (
     gibbs_step,
     make_gaussian,
     make_l1,
+    make_power_norm,
     moment_estimate,
     run_chain,
     run_chains,
@@ -104,6 +106,29 @@ class TestSelectMu:
         assert est.source == "quadrature"
         # E||x||^4 for two iid Laplace(1) coords: 2*24 + 2*(2*2) = 56
         assert est.m4 == pytest.approx(56.0, rel=1e-3)
+
+    @pytest.mark.parametrize("d", [1, 5, 20])
+    def test_power_norm_alpha_one_is_gaussian(self, d):
+        # at alpha = 1 the target is N(0, I): E||x||^4 = d(d+2)
+        m4 = make_power_norm(d, 1.0).fourth_moment
+        assert m4 == pytest.approx(make_gaussian(d, np.ones(d)).fourth_moment, rel=1e-12)
+        assert m4 == pytest.approx(d * (d + 2), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha, c", [(0.0, 1.0), (0.5, 1.0), (0.3, 2.5)])
+    def test_power_norm_fourth_moment_matches_quadrature(self, alpha, c):
+        from proxsamp.quadrature import QuadratureDensity
+
+        pot = make_power_norm(1, alpha, c)
+        truth = QuadratureDensity.build(pot.value, 1)
+        assert pot.fourth_moment == pytest.approx(
+            truth.moment(lambda x: float(x[0]) ** 4), rel=1e-6
+        )
+
+    def test_power_norm_moment_estimate_is_analytic(self):
+        est = moment_estimate(make_power_norm(20, 0.5))
+        assert est.source == "analytic"
+        # 1.5^(8/3) Gamma(20/1.5 + 8/3) / Gamma(20/1.5)
+        assert est.m4 == pytest.approx(3452.644, rel=1e-6)
 
 
 class TestIterationBudget:
@@ -217,6 +242,30 @@ class TestChain:
         assert header == "k,x0,rejections,bundle_iters,subgrad_calls"
         assert len(p1.read_text().splitlines()) == 27  # header + K+1 rows
 
+    def test_csv_bytes_match_per_value_writer(self, tmp_path):
+        # the writer of earlier releases: one repr(float(v)) per value
+        def reference_csv(trace):
+            d = trace.iterates.shape[1]
+            lines = ["k," + ",".join(f"x{i}" for i in range(d)) + ",rejections,bundle_iters,subgrad_calls"]
+            for k in range(trace.iterates.shape[0]):
+                xs = ",".join(repr(float(v)) for v in trace.iterates[k])
+                if k == 0:
+                    lines.append(f"0,{xs},0,0,0")
+                else:
+                    lines.append(
+                        f"{k},{xs},{int(trace.rejections[k - 1])},"
+                        f"{int(trace.bundle_iters[k - 1])},{int(trace.subgrad_calls[k - 1])}"
+                    )
+            return ("\n".join(lines) + "\n").encode()
+
+        pot = make_l1(3, 1.0)
+        eta, delta = select_params_semismooth(pot.profile, 3)
+        cfg = ChainConfig(eta=eta, delta=delta, mu=0.1, center_x0=(0.0,) * 3, n_iters=40, seed=4)
+        trace = run_chain(pot, cfg, x_init=np.array([1e-300, -0.0, 123456789.125]))
+        path = tmp_path / "c.csv"
+        trace.to_csv(path)
+        assert path.read_bytes() == reference_csv(trace)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ChainConfig(eta=0.0, delta=1.0, mu=0.0, center_x0=(0.0,), n_iters=1, seed=0)
@@ -232,3 +281,100 @@ def _ks(samples, cdf_fn):
     c = cdf_fn(s)
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - c), np.max(c - (i - 1) / n)))
+
+
+def _trace_digest(trace):
+    h = hashlib.sha256()
+    for a in (trace.iterates, trace.aux, trace.rejections, trace.bundle_iters, trace.subgrad_calls):
+        h.update(np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<")).tobytes())
+    return h.hexdigest()
+
+
+class TestSeedReplay:
+    """Chains replay bit for bit: the pinned values were recorded before the
+    sweep was streamlined (unchecked inner evaluations, one value query per
+    point, the one-plane closed form), so any change to the RNG call order
+    or to a floating-point expression on the sampling path shows here.
+    The digests cover iterates, aux, rejections, bundle_iters and
+    subgrad_calls."""
+
+    def test_l1_bundle_regularized(self):
+        pot = make_l1(1, 1.0)
+        eta, delta = select_params_semismooth(pot.profile, 1)
+        cfg = ChainConfig(eta=eta, delta=delta, mu=0.05, center_x0=(0.0,), n_iters=12, seed=11)
+        trace = run_chain(pot, cfg, x_init=np.array([0.3]))
+        expected = [
+            "0x1.3333333333333p-2", "0x1.e2ef15a6301b0p-4", "0x1.8661b2b76c1e2p-3",
+            "0x1.1e7b92ea3841ap-2", "0x1.d611004a8e4d0p-4", "-0x1.13f3c25a0f350p-6",
+            "-0x1.0f4ee47a7e0bcp-1", "-0x1.33bbde5ae5b92p-2", "0x1.34d2dac8b023cp-5",
+            "-0x1.7902bd95dc3dap-4", "-0x1.9a3330672faecp-2", "-0x1.5c07c2707a400p-12",
+            "0x1.8698aeb76421dp-3",
+        ]
+        assert trace.iterates[:, 0].tolist() == [float.fromhex(h) for h in expected]
+        assert trace.rejections.tolist() == [1, 0, 2, 2, 0, 1, 0, 0, 1, 2, 1, 1]
+        assert trace.bundle_iters.tolist() == [1] * 12
+        assert _trace_digest(trace) == "803eba2b3ecfca89a88ac5e74e4c7cb2213d1727c664105172dd9bbbd3c88eeb"
+
+    def test_power_norm_bundle_d20(self):
+        pot = make_power_norm(20, 0.5)
+        eta, delta = select_params_semismooth(pot.profile, 20)
+        cfg = ChainConfig(eta=eta, delta=delta, mu=0.0, center_x0=(0.0,) * 20, n_iters=6, seed=3)
+        trace = run_chain(pot, cfg, x_init=np.linspace(-1.0, 1.0, 20))
+        expected = [
+            "0x1.1c2a17998ee48p-10", "-0x1.41c5f8eed0142p-1", "-0x1.38c5ce03c0a5dp+0",
+            "-0x1.ef40795b92568p-2", "-0x1.83b9740ea47b5p-3", "-0x1.829b602ce5912p-2",
+            "0x1.ca6a2d14bb310p-1", "-0x1.c61b792c2425cp-5", "-0x1.8b66ec6d49540p-4",
+            "-0x1.4720bd4c2ac92p-2", "-0x1.e57afa026ca4cp-4", "0x1.067014c805210p-2",
+            "0x1.ed7adf506ca8dp-2", "-0x1.d9f2bcb7ab09ep-2", "0x1.47c9c845d040fp-3",
+            "0x1.ea003a903237bp-1", "0x1.c28a0c0699400p-3", "0x1.d4c7b7fbcb9e5p-1",
+            "0x1.ccfcd759d658ap-1", "0x1.b1fb73fc76d39p-1",
+        ]
+        assert trace.final.tolist() == [float.fromhex(h) for h in expected]
+        assert trace.rejections.tolist() == [0, 1, 0, 0, 0, 0]
+        assert trace.bundle_iters.tolist() == [2] * 6
+        assert trace.subgrad_calls.tolist() == [2] * 6
+        assert _trace_digest(trace) == "4b8eb64fb8ac46f250b6c44a487edd9f21d367cef2de3fbe63e3a00054634fdb"
+
+    def test_gaussian_exact_regularized(self):
+        pot = make_gaussian(3, (1.0, 2.0, 4.0))
+        cfg = ChainConfig(
+            eta=0.08, delta=0.0, mu=0.1, center_x0=(0.5, 0.0, -0.5), n_iters=10, seed=5, rgo_mode="exact"
+        )
+        trace = run_chain(pot, cfg)
+        expected = ["-0x1.4bdee1bca6a44p-1", "-0x1.3e44466e067f0p-2", "-0x1.d78b7d8c48131p-1"]
+        assert trace.final.tolist() == [float.fromhex(h) for h in expected]
+        assert trace.rejections.tolist() == [0, 1, 0, 0, 0, 0, 0, 1, 0, 3]
+        assert _trace_digest(trace) == "700d4d25107d8ddc2e6b28d92f4ce5eda775b3b7abf311261f8a2aa5c9b45779"
+
+    SWEEP_DIGESTS = {
+        "l1": "af915722f2571e7dece3c88fbfbe210aca3847dfad752571b22b0473794992d9",
+        "power_norm": "e69c786722232c50011aa293ad9f71519d387b1708930fe8b0d0f5a823a04f22",
+        "gaussian": "ab811ddd9dd10019e9aa62a118d5830563e2ac91d0c710e28d6bb0d6c093dce9",
+    }
+
+    @pytest.mark.parametrize("case", ["l1", "power_norm", "gaussian"])
+    def test_sweep_values_replay(self, case):
+        # the iterates depend on objective values only through accept
+        # decisions; envelope offsets and log accept ratios pin the values
+        if case == "l1":
+            pot = make_l1(1, 1.0)
+            eta, delta = select_params_semismooth(pot.profile, 1)
+            mu, center, mode, x, seed, n = 0.05, [0.0], "bundle", np.array([0.3]), 11, 50
+        elif case == "power_norm":
+            pot = make_power_norm(20, 0.5)
+            eta, delta = select_params_semismooth(pot.profile, 20)
+            mu, center, mode, x, seed, n = 0.0, np.zeros(20), "bundle", np.linspace(-1.0, 1.0, 20), 3, 20
+        else:
+            pot = make_gaussian(3, (1.0, 2.0, 4.0))
+            eta, delta = 0.08, 0.0
+            mu, center, mode, x, seed, n = 0.1, [0.5, 0.0, -0.5], "exact", np.zeros(3), 5, 50
+        target = RegularizedTarget(pot, mu, np.asarray(center, dtype=float))
+        cfg = RgoConfig(eta=eta, delta=delta, mode=mode)
+        rng = np.random.default_rng(seed)
+        h = hashlib.sha256()
+        for _ in range(n):
+            y, s = gibbs_step(x, target, cfg, rng, warn_on_step=False)
+            x = s.x
+            vals = np.array([*y, *s.x, *s.center, s.envelope_offset, s.log_accept_ratio], dtype="<f8")
+            h.update(vals.tobytes())
+        assert h.hexdigest() == self.SWEEP_DIGESTS[case]

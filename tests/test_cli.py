@@ -1,5 +1,8 @@
 import json
+import math
+import time
 
+import numpy as np
 import pytest
 
 from proxsamp.cli import main
@@ -123,6 +126,29 @@ class TestSample:
         for name in ("chain_000.csv", "chain_001.csv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
+    def test_wall_clock_includes_csv_writing(self, capsys, tmp_path, monkeypatch):
+        from proxsamp.chain import ChainTrace
+
+        spent = []
+        write = ChainTrace.to_csv
+
+        def slow_to_csv(trace, path):
+            t0 = time.perf_counter()
+            write(trace, path)
+            time.sleep(0.2)
+            spent.append(time.perf_counter() - t0)
+
+        monkeypatch.setattr(ChainTrace, "to_csv", slow_to_csv)
+        cfg = self.make_config(tmp_path, n_chains=2)
+        out_dir = tmp_path / "out"
+        assert run_cli(["sample", "--config", str(cfg), "--out-dir", str(out_dir)], capsys)[0] == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert len(spent) == 2
+        assert summary["wall_clock_s"] >= sum(spent)
+        assert manifest["wall_clock_s"] == summary["wall_clock_s"]
+        assert summary["seconds_per_step"] == summary["wall_clock_s"] / (2 * 40)
+
     def test_env_var_default_dir(self, capsys, tmp_path, monkeypatch):
         cfg = self.make_config(tmp_path, n_chains=1)
         monkeypatch.setenv("PROXSAMP_OUT", str(tmp_path / "envdir"))
@@ -140,6 +166,39 @@ class TestVerify:
         payload = json.loads(report_path.read_text())
         assert payload["passed"] is True
         assert payload["suites"][0]["name"] == "prop-key"
+
+    def test_report_is_strict_json(self, capsys, tmp_path, monkeypatch):
+        import proxsamp.cli as cli
+        from proxsamp.checks import CheckReport
+
+        def fake_suites(names):
+            details = {
+                "bound": math.inf,
+                "low": np.float64(-math.inf),
+                "undefined": math.nan,
+                "values": np.array([1.5, math.inf]),
+                "count": np.int64(3),
+            }
+            return [CheckReport(name="fake", passed=True, details=details)]
+
+        monkeypatch.setattr(cli, "run_suites", fake_suites)
+        report_path = tmp_path / "rep.json"
+        code, out, _ = run_cli(["verify", "all", "--out", str(report_path)], capsys)
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        for text in (report_path.read_text(), out):
+            payload = json.loads(text, parse_constant=reject)
+            details = payload["suites"][0]["details"]
+            assert details == {
+                "bound": "inf",
+                "low": "-inf",
+                "undefined": "nan",
+                "values": [1.5, "inf"],
+                "count": 3,
+            }
 
     def test_unknown_suite_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -191,6 +191,24 @@ class TestRgoSample:
             for _ in range(200):
                 rgo_sample(obj, cfg, rng, warn_on_step=False)
 
+    @pytest.mark.parametrize("mu", [0.0, 0.3])
+    def test_prox_output_shape_checked(self, mu):
+        # proposals are evaluated unchecked, so a prox of the wrong shape
+        # must be caught where it enters
+        wrong = Potential(
+            dim=2,
+            value=lambda x: float(np.abs(x).sum()),
+            subgrad=lambda x: np.sign(np.asarray(x, dtype=float)),
+            profile=SmoothnessProfile(alpha=0.0, l_alpha=2.0),
+            prox=lambda eta, y: np.zeros(3),
+            name="wrong-shape",
+        )
+        obj = ProxObjective(RegularizedTarget(wrong, mu, np.zeros(2)), 0.1, np.array([1.0, -1.0]))
+        with pytest.raises(ValueError, match="shape"):
+            prox_of_target(obj)
+        with pytest.raises(ValueError, match="shape"):
+            rgo_sample(obj, RgoConfig(eta=0.1, mode="exact"), np.random.default_rng(0), warn_on_step=False)
+
     def test_rejection_limit(self):
         obj = l1_objective(50.0, 0.3)
         cfg = RgoConfig(eta=50.0, mode="exact", max_rejections=2)
