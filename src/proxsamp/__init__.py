@@ -8,7 +8,6 @@ rejection sampling around an (exact or cutting-plane) proximal point.
 
 __version__ = "0.1.0"
 
-from ._kernels import NUMBA_ENABLED
 from .bundle import (
     BundleLimitError,
     BundleResult,

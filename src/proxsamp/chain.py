@@ -20,7 +20,7 @@ import numpy as np
 from .bundle import ProxObjective
 from .potentials import Array, Potential, RegularizedTarget, SmoothnessProfile
 from .quadrature import QuadratureDensity
-from .rejection import RgoConfig, rgo_sample
+from .rejection import RgoConfig, rgo_sample, semismooth_step
 
 REGIMES = ("semi-smooth", "composite", "strongly-convex")
 
@@ -54,19 +54,6 @@ class ChainConfig:
 
     def rgo(self) -> RgoConfig:
         return RgoConfig(eta=self.eta, delta=self.delta, mode=self.rgo_mode)
-
-    def to_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "delta": self.delta,
-            "mu": self.mu,
-            "center_x0": list(self.center_x0),
-            "n_iters": self.n_iters,
-            "seed": self.seed,
-            "target_eps": self.target_eps,
-            "regime": self.regime,
-            "rgo_mode": self.rgo_mode,
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,15 +193,13 @@ def select_params_semismooth(profile: SmoothnessProfile, d: int) -> tuple:
         raise ValueError("semi-smooth rule needs l_alpha > 0")
     if d < 1:
         raise ValueError("d must be >= 1")
-    a = profile.alpha
-    eta = (a + 1.0) ** (2.0 / (a + 1.0)) / (
-        (2.0 * profile.l_alpha) ** (2.0 / (a + 1.0)) * d
-    )
-    if a >= 1.0:
-        delta = 1.0
-    else:
-        delta = float(d) ** (-(a + 1.0) / (1.0 - a))
-    return eta, delta
+    return semismooth_step(profile.alpha, profile.l_alpha, d), _gap_tolerance(profile.alpha, d)
+
+
+def _gap_tolerance(alpha: float, d: int) -> float:
+    if alpha >= 1.0:
+        return 1.0
+    return float(d) ** (-(alpha + 1.0) / (1.0 - alpha))
 
 
 def select_params_composite(profile: SmoothnessProfile, d: int) -> tuple:
@@ -222,15 +207,11 @@ def select_params_composite(profile: SmoothnessProfile, d: int) -> tuple:
     if profile.l_alpha <= 0 and profile.l_one <= 0:
         raise ValueError("composite rule needs l_alpha > 0 or l_one > 0")
     guards = []
-    delta = 1.0
     if profile.l_alpha > 0:
-        eta_semi, delta = select_params_semismooth(profile, d)
-        guards.append(eta_semi)
-    elif profile.alpha < 1.0:
-        delta = float(d) ** (-(profile.alpha + 1.0) / (1.0 - profile.alpha))
+        guards.append(select_params_semismooth(profile, d)[0])
     if profile.l_one > 0:
         guards.append(1.0 / (profile.l_one * d))
-    return min(guards), delta
+    return min(guards), _gap_tolerance(profile.alpha, d)
 
 
 def select_params_any(profile: SmoothnessProfile, d: int) -> tuple:
@@ -256,15 +237,6 @@ class IterationBudget:
     initial_divergence: float
     target: float
     rule: str
-
-    def to_dict(self) -> dict:
-        return {
-            "n_iters": self.n_iters,
-            "rate_per_iter": self.rate_per_iter,
-            "initial_divergence": self.initial_divergence,
-            "target": self.target,
-            "rule": self.rule,
-        }
 
 
 def select_num_iters(

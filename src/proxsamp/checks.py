@@ -19,6 +19,7 @@ from .rejection import (
     EnvelopeViolationError,
     lower_envelope,
     prox_of_target,
+    semismooth_step,
     upper_envelope,
 )
 
@@ -28,9 +29,6 @@ class CheckReport:
     name: str
     passed: bool
     details: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "details": self.details}
 
 
 def wendel_check(
@@ -96,10 +94,7 @@ def default_prop_key_grid() -> list:
     grid = []
     for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
         for d in (1, 2, 5, 10, 20):
-            l_alpha = 1.0
-            eta = (alpha + 1.0) ** (2.0 / (alpha + 1.0)) / (
-                (2.0 * l_alpha) ** (2.0 / (alpha + 1.0)) * d
-            )
+            eta = semismooth_step(alpha, 1.0, d)
             a_boundary = 0.5 / (eta * d) ** ((alpha + 1.0) / 2.0)
             grid.append((alpha, eta, a_boundary, d))
             grid.append((alpha, eta, 0.5 * a_boundary, d))
@@ -135,14 +130,6 @@ class SandwichReport:
     min_upper_slack: float
     n_probes: int
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "min_lower_slack": self.min_lower_slack,
-            "min_upper_slack": self.min_upper_slack,
-            "n_probes": self.n_probes,
-            "passed": self.passed,
-        }
 
 
 def sandwich_suite(

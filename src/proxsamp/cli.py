@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 
@@ -270,7 +271,7 @@ def cmd_sample(args) -> int:
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     reports = run_suites(names)
-    payload = {"passed": all(r.passed for r in reports), "suites": [r.to_dict() for r in reports]}
+    payload = {"passed": all(r.passed for r in reports), "suites": [asdict(r) for r in reports]}
     text = json.dumps(_strict_json(payload), indent=2, sort_keys=True, allow_nan=False)
     if args.out:
         with open(args.out, "w") as fh:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import kolmogi, kolmogorov
@@ -61,22 +61,17 @@ def tv_noise_floor(
     return float(np.mean(vals)), float(np.std(vals))
 
 
-def ks_1samp(samples: Array, truth: QuadratureDensity) -> float:
-    """One-sample KS statistic against the truth's CDF (1D)."""
+def ks_1samp(samples: Array, cdf: Callable[[Array], Array]) -> float:
+    """One-sample KS statistic against a CDF callable (1D).
+
+    ``cdf`` maps sorted sample values to CDF values, e.g. an analytic CDF
+    or a quadrature truth's ``cdf_at``.
+    """
     s = np.sort(np.asarray(samples, dtype=float).ravel())
     n = s.size
-    cdf = truth.cdf_at(s)
+    c = np.asarray(cdf(s), dtype=float)
     i = np.arange(1, n + 1)
-    return float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))
-
-
-def ks_1samp_cdf(samples: Array, cdf_fn) -> float:
-    """One-sample KS statistic against an analytic CDF callable."""
-    s = np.sort(np.asarray(samples, dtype=float).ravel())
-    n = s.size
-    cdf = np.asarray(cdf_fn(s), dtype=float)
-    i = np.arange(1, n + 1)
-    return float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))
+    return float(max(np.max(i / n - c), np.max(c - (i - 1) / n)))
 
 
 def ks_2samp(a: Array, b: Array) -> float:
@@ -129,15 +124,6 @@ class DistanceReport:
     n_samples: int
     bins: int
 
-    def to_dict(self) -> dict:
-        return {
-            "tv": self.tv,
-            "ks": self.ks,
-            "w2": self.w2,
-            "n_samples": self.n_samples,
-            "bins": self.bins,
-        }
-
 
 def distance_report(
     samples: Array, truth: QuadratureDensity, bins: Optional[int] = None
@@ -150,6 +136,6 @@ def distance_report(
     tv = tv_hist(samples, truth, b)
     ks = w2 = None
     if truth.dim == 1:
-        ks = ks_1samp(samples[:, 0], truth)
+        ks = ks_1samp(samples[:, 0], truth.cdf_at)
         w2 = w2_quantile(samples[:, 0], truth)
     return DistanceReport(tv=tv, ks=ks, w2=w2, n_samples=samples.shape[0], bins=b)

@@ -131,16 +131,6 @@ class ProfileReport:
     tol: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "max_smoothness_violation": self.max_smoothness_violation,
-            "max_convexity_violation": self.max_convexity_violation,
-            "worst_pair_dist": self.worst_pair_dist,
-            "n_pairs": self.n_pairs,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
-
 
 def sample_in_ball(rng: np.random.Generator, dim: int, radius: float) -> Array:
     """Uniform draw from the centered Euclidean ball."""
@@ -330,6 +320,10 @@ def make_quad_plus_l1(
         y = np.asarray(y, dtype=float)
         return np.sign(y) * np.maximum(np.abs(y) - eta * s, 0.0) / (1.0 + eta * q)
 
+    # E||x||^4 = sum m4_i + (sum m2_i)^2 - sum m2_i^2 for the independent
+    # coordinates, each with density prop. to exp(-q_i x^2/2 - s|x|)
+    moments = {qi: _quad_l1_moments(qi, s) for qi in set(q.tolist())}
+    m2, m4 = np.array([moments[qi] for qi in q.tolist()]).T
     return Potential(
         dim=dim,
         value=value,
@@ -343,8 +337,20 @@ def make_quad_plus_l1(
         prox=prox,
         x_min=np.zeros(dim),
         f_min=0.0,
+        fourth_moment=float(m4.sum() + m2.sum() ** 2 - (m2 * m2).sum()),
         name="quad_plus_l1",
     )
+
+
+def _quad_l1_moments(q: float, s: float) -> tuple:
+    """(E x^2, E x^4) under the 1-D density prop. to exp(-q x^2/2 - s|x|)."""
+    from scipy.integrate import quad
+
+    def integral(k):
+        return quad(lambda x: x**k * math.exp(-0.5 * q * x * x - s * x), 0.0, math.inf)[0]
+
+    z = integral(0)
+    return integral(2) / z, integral(4) / z
 
 
 def make_hinge_sum(dim: int, planes: Sequence[tuple]) -> Potential:

@@ -131,15 +131,18 @@ def prox_of_target(obj: ProxObjective) -> Array:
     return _check_point(base.prox(obj.eta_mu, obj.quad_center), obj.dim)
 
 
+def semismooth_step(alpha: float, l_alpha: float, dim: int) -> float:
+    """The semi-smooth step-size guard (a+1)^(2/(a+1)) / ((2 l_alpha)^(2/(a+1)) d)."""
+    a = alpha
+    return (a + 1.0) ** (2.0 / (a + 1.0)) / ((2.0 * l_alpha) ** (2.0 / (a + 1.0)) * dim)
+
+
 def step_condition_ok(
     eta_mu: float, profile: SmoothnessProfile, dim: int
 ) -> bool:
     """Check the step-size guards under which the proposal-count bounds hold."""
     if profile.l_alpha > 0:
-        a = profile.alpha
-        guard = (a + 1.0) ** (2.0 / (a + 1.0)) / (
-            (2.0 * profile.l_alpha) ** (2.0 / (a + 1.0)) * dim
-        )
+        guard = semismooth_step(profile.alpha, profile.l_alpha, dim)
         if eta_mu > guard * (1.0 + 1e-12):
             return False
     if profile.l_one > 0:

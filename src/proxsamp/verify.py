@@ -1,9 +1,11 @@
-"""Verification suites aggregating the bound checks at desk scale.
+"""Verification suites: the desk-scale checks of the paper's bounds.
 
 Each suite is a plain function returning a CheckReport; the CLI ``verify``
-subcommand dispatches on suite name.  Sizes default to something that runs
-in seconds to a couple of minutes; the acceptance test suite re-runs the
-same checks at their full stated sizes.
+subcommand dispatches on suite name.  This module is the one
+implementation of these checks: the acceptance tests A2-A7 call the same
+suites and their per-case functions (``proposal_case``, ``bundle_case``)
+with the same seeds, only at their full stated sizes, while the defaults
+here run in seconds.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .bundle import (
 from .chain import ChainConfig, gibbs_step, run_chain, select_params_any
 from .checks import CheckReport, check_prop_key_bound, default_prop_key_grid, sandwich_suite, wendel_check
 from .metrics import ks_1samp, ks_critical, tv_hist, tv_noise_floor
-from .potentials import RegularizedTarget, default_zoo, make_gaussian, make_l1
+from .potentials import Potential, RegularizedTarget, default_zoo, make_gaussian, make_l1
 from .quadrature import QuadratureDensity
 from .rejection import RgoConfig, rejection_bound, rgo_sample
 
@@ -47,7 +49,7 @@ def suite_prop_key() -> CheckReport:
 
 def suite_sandwich(probes_per_case: int = 400, n_draws: int = 10, dim: int = 2) -> CheckReport:
     """Envelope sandwich across the zoo, exact and bundle lower forms."""
-    rng = np.random.default_rng(42)
+    rng = np.random.default_rng(7)
     worst_lower = math.inf
     worst_upper = math.inf
     n_total = 0
@@ -78,156 +80,138 @@ def suite_sandwich(probes_per_case: int = 400, n_draws: int = 10, dim: int = 2) 
     )
 
 
-def _mean_proposals(pot, eta, delta, mode, n_calls, dim, seed, mu=0.0):
-    rng = np.random.default_rng(seed)
-    target = RegularizedTarget(pot, mu, np.zeros(dim))
+def proposal_case(name: str, pot: Potential, mode: str, n_calls: int, seed: int) -> dict:
+    """Mean proposals per accepted sample against the regime bound.
+
+    Runs ``rgo_sample`` at the regime step size for n_calls auxiliary points
+    y = 2 z; the case passes when the step-size condition holds and the mean
+    is within 3 standard errors above the bound.
+    """
+    dim = pot.dim
+    eta, delta = select_params_any(pot.profile, dim)
     cfg = RgoConfig(eta=eta, delta=delta if mode == "bundle" else 0.0, mode=mode)
+    target = RegularizedTarget(pot, 0.0, np.zeros(dim))
+    rng = np.random.default_rng(seed)
     counts = np.empty(n_calls)
     for i in range(n_calls):
-        y = rng.standard_normal(dim) * math.sqrt(max(eta, 1.0))
-        obj = ProxObjective(target, eta, y)
-        counts[i] = rgo_sample(obj, cfg, rng).rejections + 1
-    return counts
+        obj = ProxObjective(target, eta, 2.0 * rng.standard_normal(dim))
+        counts[i] = rgo_sample(obj, cfg, rng, warn_on_step=False).rejections + 1
+    bound = rejection_bound(cfg, pot.profile, dim)
+    mean = float(counts.mean())
+    slack = 3.0 * float(counts.std()) / math.sqrt(n_calls)
+    return {
+        "target": name,
+        "mode": mode,
+        "dim": dim,
+        "mean_proposals": mean,
+        "bound": bound.value,
+        "slack_3sigma": slack,
+        "passed": bound.condition_ok and mean <= bound.value + slack,
+    }
 
 
 def suite_acceptance_bounds(n_calls: int = 2000) -> CheckReport:
     """Empirical proposals-per-sample vs the regime bound, 3 sigma slack."""
-    cases = []
-    for dim in (1, 5):
-        pot = make_l1(dim, 1.0)
-        eta, delta = select_params_any(pot.profile, dim)
-        for mode in ("exact", "bundle"):
-            cases.append(("l1", pot, eta, delta, mode, dim))
-    gdim = 5
-    gauss = make_gaussian(gdim, np.ones(gdim))
-    geta, gdelta = select_params_any(gauss.profile, gdim)
-    cases.append(("gaussian", gauss, geta, gdelta, "exact", gdim))
-    zoo = default_zoo(gdim)
-    qpot = zoo["quad_plus_l1"]
-    qeta, qdelta = select_params_any(qpot.profile, gdim)
-    cases.append(("quad_plus_l1", qpot, qeta, qdelta, "bundle", gdim))
+    cases = [("l1", make_l1(dim, 1.0), mode) for dim in (1, 5) for mode in ("exact", "bundle")]
+    cases.append(("gaussian", make_gaussian(5, np.ones(5)), "exact"))
+    cases.append(("quad_plus_l1", default_zoo(5)["quad_plus_l1"], "bundle"))
+    entries = [
+        proposal_case(name, pot, mode, n_calls, seed=100 + i)
+        for i, (name, pot, mode) in enumerate(cases)
+    ]
+    passed = all(e["passed"] for e in entries)
+    return CheckReport(name="acceptance-bounds", passed=passed, details={"cases": entries})
 
-    entries = []
-    ok = True
-    for i, (name, pot, eta, delta, mode, dim) in enumerate(cases):
-        counts = _mean_proposals(pot, eta, delta, mode, n_calls, dim, seed=100 + i)
-        bound = rejection_bound(
-            RgoConfig(eta=eta, delta=delta if mode == "bundle" else 0.0, mode=mode),
-            pot.profile,
-            dim,
-        )
-        mean = float(counts.mean())
-        slack = 3.0 * float(counts.std()) / math.sqrt(n_calls)
-        passed = bound.condition_ok and mean <= bound.value + slack
-        ok = ok and passed
-        entries.append(
-            {
-                "target": name,
-                "mode": mode,
-                "dim": dim,
-                "mean_proposals": mean,
-                "bound": bound.value,
-                "slack_3sigma": slack,
-                "passed": passed,
-            }
-        )
-    return CheckReport(name="acceptance-bounds", passed=ok, details={"cases": entries})
+
+def bundle_case(name: str, pot: Potential, n_draws: int, seed: int) -> dict:
+    """Bundle iterations J against the recursion bound J0, per target.
+
+    Runs ``prox_bundle`` at the regime parameters for n_draws auxiliary
+    points y = 2 z.  A draw violates when J > max(1, J0) or when its first
+    gap exceeds ``gap_start_bound``; the case passes with no violation and
+    median J <= 10.
+    """
+    dim = pot.dim
+    prof = pot.profile
+    eta, delta = select_params_any(prof, dim)
+    target = RegularizedTarget(pot, 0.0, np.zeros(dim))
+    rng = np.random.default_rng(seed)
+    iters = np.empty(n_draws, dtype=int)
+    violations = 0
+    for i in range(n_draws):
+        obj = ProxObjective(target, eta, 2.0 * rng.standard_normal(dim))
+        res = prox_bundle(obj, delta)
+        t1 = res.gaps[0]
+        if prof.l_one > 0:
+            j0 = iteration_bound_composite(
+                obj.eta_mu, prof.l_alpha, prof.alpha, prof.l_one, delta, t1
+            )
+        else:
+            j0 = iteration_bound_semismooth(obj.eta_mu, prof.l_alpha, prof.alpha, delta, t1)
+        if res.iterations > max(1, j0):
+            violations += 1
+        if t1 > gap_start_bound(obj) + 1e-10:
+            violations += 1
+        iters[i] = res.iterations
+    med = float(np.median(iters))
+    return {
+        "target": name,
+        "median_iters": med,
+        "max_iters": int(iters.max()),
+        "violations": violations,
+        "passed": violations == 0 and med <= 10.0,
+    }
 
 
 def suite_bundle_bounds(n_draws: int = 200, dim: int = 5) -> CheckReport:
     """Measured iteration counts vs the worst-case recursion bound, per target."""
-    rng = np.random.default_rng(7)
-    entries = []
-    ok = True
-    for name, pot in default_zoo(dim).items():
-        eta, delta = select_params_any(pot.profile, dim)
-        target = RegularizedTarget(pot, 0.0, np.zeros(dim))
-        iters = []
-        violations = 0
-        for _ in range(n_draws):
-            y = rng.standard_normal(dim) * 2.0
-            obj = ProxObjective(target, eta, y)
-            res = prox_bundle(obj, delta)
-            t1 = res.gaps[0]
-            prof = pot.profile
-            if prof.l_one > 0:
-                j0 = iteration_bound_composite(
-                    obj.eta_mu, prof.l_alpha, prof.alpha, prof.l_one, delta, t1
-                )
-            else:
-                j0 = iteration_bound_semismooth(
-                    obj.eta_mu, prof.l_alpha, prof.alpha, delta, t1
-                )
-            if res.iterations > max(1, j0):
-                violations += 1
-            if t1 > gap_start_bound(obj) + 1e-10:
-                violations += 1
-            iters.append(res.iterations)
-        med = float(np.median(iters))
-        passed = violations == 0 and med <= 10.0
-        ok = ok and passed
-        entries.append(
-            {
-                "target": name,
-                "median_iters": med,
-                "max_iters": int(np.max(iters)),
-                "violations": violations,
-                "passed": passed,
-            }
-        )
-    return CheckReport(name="bundle-bounds", passed=ok, details={"cases": entries})
+    entries = [
+        bundle_case(name, pot, n_draws, seed=400 + i)
+        for i, (name, pot) in enumerate(default_zoo(dim).items())
+    ]
+    passed = all(e["passed"] for e in entries)
+    return CheckReport(name="bundle-bounds", passed=passed, details={"cases": entries})
 
 
 def suite_stationarity(n: int = 20000) -> CheckReport:
-    """Stationary-start one-step KS for Gaussian and Laplace-type targets."""
-    entries = []
-    ok = True
+    """Stationary-start one-step KS for Gaussian and Laplace-type targets.
 
-    pot = make_gaussian(1, (1.0,))
-    eta, _ = select_params_any(pot.profile, 1)
-    target = RegularizedTarget(pot, 0.0, np.zeros(1))
-    rng = np.random.default_rng(11)
-    cfg = RgoConfig(eta=eta, mode="exact")
-    x0 = pot.sample_exact(rng, n)
-    out = np.empty(n)
-    for i in range(n):
-        _, s = gibbs_step(x0[i], target, cfg, rng, warn_on_step=False)
-        out[i] = s.x[0]
+    Each case draws n exact points of the target, runs one exact-mode Gibbs
+    sweep from each, and compares the results with the target's CDF.
+    """
     from scipy.special import ndtr
 
-    stat = _ks_cdf(out, lambda v: ndtr(v))
+    cases = (
+        ("gaussian", make_gaussian(1, (1.0,)), 21, ndtr),
+        ("laplace", make_l1(1, 1.0), 22, _laplace_cdf),
+    )
     crit = ks_critical(0.01, n)
-    entries.append({"target": "gaussian", "ks": stat, "critical_1pct": crit})
-    ok = ok and stat < crit
-
-    pot = make_l1(1, 1.0)
-    eta, _ = select_params_any(pot.profile, 1)
-    target = RegularizedTarget(pot, 0.0, np.zeros(1))
-    rng = np.random.default_rng(12)
-    cfg = RgoConfig(eta=eta, mode="exact")
-    u = rng.random(n)
-    x0 = np.where(u < 0.5, np.log(2 * u + 1e-300), -np.log(2 * (1 - u) + 1e-300))
-    out = np.empty(n)
-    for i in range(n):
-        _, s = gibbs_step(np.array([x0[i]]), target, cfg, rng, warn_on_step=False)
-        out[i] = s.x[0]
-    stat = _ks_cdf(out, _laplace_cdf)
-    entries.append({"target": "laplace", "ks": stat, "critical_1pct": crit})
-    ok = ok and stat < crit
-    return CheckReport(name="stationarity", passed=ok, details={"cases": entries})
-
-
-def _ks_cdf(samples, cdf_fn):
-    s = np.sort(samples)
-    n = s.size
-    c = cdf_fn(s)
-    i = np.arange(1, n + 1)
-    return float(max(np.max(i / n - c), np.max(c - (i - 1) / n)))
+    entries = []
+    for name, pot, seed, cdf in cases:
+        eta, _ = select_params_any(pot.profile, 1)
+        target = RegularizedTarget(pot, 0.0, np.zeros(1))
+        cfg = RgoConfig(eta=eta, mode="exact")
+        rng = np.random.default_rng(seed)
+        if name == "gaussian":
+            x0 = pot.sample_exact(rng, n)
+        else:
+            x0 = _laplace_quantile(rng.random(n))[:, None]
+        out = np.empty(n)
+        for i in range(n):
+            _, s = gibbs_step(x0[i], target, cfg, rng, warn_on_step=False)
+            out[i] = s.x[0]
+        entries.append({"target": name, "ks": ks_1samp(out, cdf), "critical_1pct": crit})
+    passed = all(e["ks"] < crit for e in entries)
+    return CheckReport(name="stationarity", passed=passed, details={"cases": entries})
 
 
 def _laplace_cdf(x):
     x = np.asarray(x, dtype=float)
     return np.where(x < 0, 0.5 * np.exp(x), 1.0 - 0.5 * np.exp(-x))
+
+
+def _laplace_quantile(u):
+    return np.where(u < 0.5, np.log(2 * u + 5e-324), -np.log(2 * (1 - u)))
 
 
 def suite_tv_decay(n_chains: int = 2000, k_max: int = 40, stride: int = 10) -> CheckReport:

@@ -1,8 +1,9 @@
 """Acceptance criteria A1-A8, each at its stated size and tolerance.
 
 Every test prints one pass/fail line (echoed again in the terminal
-summary).  Sizes here are the full desk-scale ones; the faster `verify`
-CLI suites run reduced versions of the same checks.
+summary).  A2-A7 call the `verify` suites and their per-case functions
+with the suites' seeds at the full desk-scale sizes; the `verify` CLI runs
+the same code at its smaller default sizes.
 """
 
 import math
@@ -19,40 +20,27 @@ from proxsamp import (
     QuadratureDensity,
     RegularizedTarget,
     RgoConfig,
-    check_prop_key_bound,
-    default_prop_key_grid,
     default_zoo,
-    gibbs_step,
-    iteration_bound_composite,
-    iteration_bound_semismooth,
     kl_divergence,
     make_gaussian,
     make_l1,
-    prox_bundle,
-    rejection_bound,
     rgo_sample,
     run_chain,
-    sandwich_suite,
     select_mu,
     select_num_iters,
-    select_params_composite,
     select_params_semismooth,
     tv_hist,
 )
-from proxsamp.metrics import ks_1samp_cdf, ks_2samp, ks_critical, two_sample_n_eff
-
-
-def mean_proposals(pot, eta, delta, mode, n_calls, seed, mu=0.0):
-    rng = np.random.default_rng(seed)
-    dim = pot.dim
-    target = RegularizedTarget(pot, mu, np.zeros(dim))
-    cfg = RgoConfig(eta=eta, delta=delta if mode == "bundle" else 0.0, mode=mode)
-    counts = np.empty(n_calls)
-    for i in range(n_calls):
-        y = 2.0 * rng.standard_normal(dim)
-        obj = ProxObjective(target, eta, y)
-        counts[i] = rgo_sample(obj, cfg, rng, warn_on_step=False).rejections + 1
-    return counts
+from proxsamp.chain import select_params_any
+from proxsamp.metrics import ks_2samp, ks_critical, two_sample_n_eff
+from proxsamp.verify import (
+    bundle_case,
+    proposal_case,
+    suite_bundle_bounds,
+    suite_prop_key,
+    suite_sandwich,
+    suite_stationarity,
+)
 
 
 def test_a1_end_to_end_tv_laplace():
@@ -114,117 +102,66 @@ def test_a1_end_to_end_tv_laplace():
     assert runtime < 300.0
 
 
+def _proposals(case):
+    return f"{case['mean_proposals']:.3f}<={case['bound']:.3f}+{case['slack_3sigma']:.3f}"
+
+
 def test_a2_rejection_bounds_l1():
     """Mean proposals per sample on the l1 family: exact <= 2, bundle <= 2 e^delta."""
-    n_calls = 10_000
-    details = []
-    ok = True
-    for i, d in enumerate((1, 5, 20)):
-        pot = make_l1(d, 1.0)
-        eta, delta = select_params_semismooth(pot.profile, d)
-        for mode in ("exact", "bundle"):
-            counts = mean_proposals(pot, eta, delta, mode, n_calls, seed=200 + i)
-            cfg = RgoConfig(eta=eta, delta=delta if mode == "bundle" else 0.0, mode=mode)
-            bound = rejection_bound(cfg, pot.profile, d)
-            assert bound.condition_ok
-            slack = 3.0 * counts.std() / math.sqrt(n_calls)
-            passed = counts.mean() <= bound.value + slack
-            ok = ok and passed
-            details.append(f"d={d} {mode}: {counts.mean():.3f}<={bound.value:.3f}+{slack:.3f}")
-            assert passed, details[-1]
-    record("A2", ok, "; ".join(details))
+    cases = [
+        proposal_case("l1", make_l1(d, 1.0), mode, 10_000, seed=200 + i)
+        for i, d in enumerate((1, 5, 20))
+        for mode in ("exact", "bundle")
+    ]
+    ok = all(c["passed"] for c in cases)
+    record("A2", ok, "; ".join(f"d={c['dim']} {c['mode']}: {_proposals(c)}" for c in cases))
+    assert ok
 
 
 def test_a3_smooth_and_composite_bounds():
     """Gaussian <= e^(1/2+delta); quadratic+l1 <= 2 e^(1/2+delta)."""
-    n_calls = 10_000
     details = []
     ok = True
     for i, d in enumerate((1, 5, 20)):
         gauss = make_gaussian(d, np.ones(d))
-        eta, delta = select_params_composite(gauss.profile, d)
+        eta, _ = select_params_any(gauss.profile, d)
         assert eta <= 1.0 / (gauss.profile.l_one * d) + 1e-15
         for mode in ("exact", "bundle"):
-            counts = mean_proposals(gauss, eta, delta, mode, n_calls, seed=300 + i)
-            cfg = RgoConfig(eta=eta, delta=delta if mode == "bundle" else 0.0, mode=mode)
-            bound = rejection_bound(cfg, gauss.profile, d)
-            assert bound.condition_ok
-            slack = 3.0 * counts.std() / math.sqrt(n_calls)
-            passed = counts.mean() <= bound.value + slack
-            ok = ok and passed
-            details.append(
-                f"gauss d={d} {mode}: {counts.mean():.3f}<={bound.value:.3f}+{slack:.3f}"
-            )
-            assert passed, details[-1]
+            c = proposal_case("gaussian", gauss, mode, 10_000, seed=300 + i)
+            ok = ok and c["passed"]
+            details.append(f"gauss d={d} {mode}: {_proposals(c)}")
 
         comp = default_zoo(d)["quad_plus_l1"]
-        eta, delta = select_params_composite(comp.profile, d)
-        counts = mean_proposals(comp, eta, delta, "bundle", n_calls, seed=350 + i)
-        cfg = RgoConfig(eta=eta, delta=delta, mode="bundle")
-        bound = rejection_bound(cfg, comp.profile, d)
-        assert bound.condition_ok
-        assert bound.value == pytest.approx(2.0 * math.exp(0.5 + delta), rel=1e-12)
-        slack = 3.0 * counts.std() / math.sqrt(n_calls)
-        passed = counts.mean() <= bound.value + slack
-        ok = ok and passed
-        details.append(f"quad+l1 d={d}: {counts.mean():.3f}<={bound.value:.3f}+{slack:.3f}")
-        assert passed, details[-1]
+        c = proposal_case("quad_plus_l1", comp, "bundle", 10_000, seed=350 + i)
+        _, delta = select_params_any(comp.profile, d)
+        assert c["bound"] == pytest.approx(2.0 * math.exp(0.5 + delta), rel=1e-12)
+        ok = ok and c["passed"]
+        details.append(f"quad+l1 d={d}: {_proposals(c)}")
     record("A3", ok, "; ".join(details))
+    assert ok
 
 
 def test_a4_bundle_iteration_bounds():
     """Measured J <= the recursion bound everywhere; median J <= 10, also as d grows."""
-    n_draws = 1000
-    details = []
-    ok = True
-
-    def run_target(pot, d, seed):
-        prof = pot.profile
-        if prof.l_one > 0:
-            eta, delta = select_params_composite(prof, d)
-        else:
-            eta, delta = select_params_semismooth(prof, d)
-        rng = np.random.default_rng(seed)
-        target = RegularizedTarget(pot, 0.0, np.zeros(d))
-        iters = np.empty(n_draws, dtype=int)
-        for i in range(n_draws):
-            y = 2.0 * rng.standard_normal(d)
-            obj = ProxObjective(target, eta, y)
-            res = prox_bundle(obj, delta)
-            t1 = res.gaps[0]
-            if prof.l_one > 0:
-                j0 = iteration_bound_composite(
-                    obj.eta_mu, prof.l_alpha, prof.alpha, prof.l_one, delta, t1
-                )
-            else:
-                j0 = iteration_bound_semismooth(obj.eta_mu, prof.l_alpha, prof.alpha, delta, t1)
-            assert res.iterations <= max(1, j0)
-            iters[i] = res.iterations
-        return float(np.median(iters)), int(iters.max())
-
-    for i, (name, pot) in enumerate(default_zoo(5).items()):
-        med, mx = run_target(pot, 5, seed=400 + i)
-        passed = med <= 10.0
-        ok = ok and passed
-        details.append(f"{name}(d=5): median J={med:.0f} max={mx}")
-        assert passed
-
-    for i, d in enumerate((1, 5, 20, 100)):
-        med, mx = run_target(make_l1(d, 1.0), d, seed=450 + i)
-        passed = med <= 10.0
-        ok = ok and passed
-        details.append(f"l1(d={d}): median J={med:.0f}")
-        assert passed
+    zoo = suite_bundle_bounds(n_draws=1000)
+    dims = (1, 5, 20, 100)
+    l1 = [bundle_case("l1", make_l1(d, 1.0), 1000, seed=450 + i) for i, d in enumerate(dims)]
+    details = [
+        f"{c['target']}(d=5): median J={c['median_iters']:.0f} max={c['max_iters']}"
+        for c in zoo.details["cases"]
+    ]
+    details += [f"l1(d={d}): median J={c['median_iters']:.0f}" for d, c in zip(dims, l1)]
+    ok = zoo.passed and all(c["passed"] for c in l1)
     record("A4", ok, "; ".join(details))
+    assert ok
 
 
 def test_a5_modified_gaussian_bound():
     """Quadrature integral >= half the Gaussian integral on the 50-point grid."""
     t0 = time.perf_counter()
-    grid = default_prop_key_grid()
-    assert len(grid) == 50
-    rep = check_prop_key_bound(grid, rel_tol=1e-6)
+    rep = suite_prop_key()
     runtime = time.perf_counter() - t0
+    assert rep.details["n_points"] == 50
     record(
         "A5",
         rep.passed,
@@ -236,38 +173,14 @@ def test_a5_modified_gaussian_bound():
 
 def test_a6_sandwich_invariants():
     """h_lower <= g <= h_upper at 1e5 probe evaluations across the zoo."""
-    rng = np.random.default_rng(7)
-    dim = 2
-    probes_per_case = 1000
-    n_probes = 0
-    worst_lower = math.inf
-    worst_upper = math.inf
-    for name, pot in default_zoo(dim).items():
-        prof = pot.profile
-        if prof.l_one > 0:
-            eta, delta = select_params_composite(prof, dim)
-        else:
-            eta, delta = select_params_semismooth(prof, dim)
-        for mu in (0.0, 0.1):
-            target = RegularizedTarget(pot, mu, np.zeros(dim))
-            for _ in range(5):
-                y = 2.0 * rng.standard_normal(dim)
-                obj = ProxObjective(target, eta, y)
-                rep = sandwich_suite(obj, probes_per_case, rng)
-                worst_lower = min(worst_lower, rep.min_lower_slack)
-                worst_upper = min(worst_upper, rep.min_upper_slack)
-                n_probes += probes_per_case
-                res = prox_bundle(obj, delta)
-                rep = sandwich_suite(obj, probes_per_case, rng, bundle_result=res)
-                worst_lower = min(worst_lower, rep.min_lower_slack)
-                worst_upper = min(worst_upper, rep.min_upper_slack)
-                n_probes += probes_per_case
-    ok = worst_lower >= -1e-9 and worst_upper >= -1e-9 and n_probes >= 100_000
+    rep = suite_sandwich(probes_per_case=1000, n_draws=5)
+    det = rep.details
+    ok = rep.passed and det["n_probes"] >= 100_000
     record(
         "A6",
         ok,
-        f"{n_probes} probes, min lower slack {worst_lower:.2e}, "
-        f"min upper slack {worst_upper:.2e} (tol -1e-9)",
+        f"{det['n_probes']} probes, min lower slack {det['min_lower_slack']:.2e}, "
+        f"min upper slack {det['min_upper_slack']:.2e} (tol -1e-9)",
     )
     assert ok
 
@@ -276,46 +189,10 @@ def test_a7_gibbs_exactness_one_step():
     """Stationary start + one sweep stays at the target (KS at 1%, n=1e5)."""
     n = 100_000
     crit = ks_critical(0.01, n)
-    details = []
-
-    pot = make_gaussian(1, (1.0,))
-    eta, _ = select_params_composite(pot.profile, 1)
-    target = RegularizedTarget(pot, 0.0, np.zeros(1))
-    cfg = RgoConfig(eta=eta, mode="exact")
-    rng = np.random.default_rng(21)
-    x0 = pot.sample_exact(rng, n)
-    out = np.empty(n)
-    for i in range(n):
-        _, s = gibbs_step(x0[i], target, cfg, rng, warn_on_step=False)
-        out[i] = s.x[0]
-    from scipy.special import ndtr
-
-    stat_g = ks_1samp_cdf(out, ndtr)
-    details.append(f"gaussian KS={stat_g:.5f}")
-
-    pot = make_l1(1, 1.0)
-    eta, _ = select_params_semismooth(pot.profile, 1)
-    target = RegularizedTarget(pot, 0.0, np.zeros(1))
-    cfg = RgoConfig(eta=eta, mode="exact")
-    rng = np.random.default_rng(22)
-    u = rng.random(n)
-    x0 = np.where(u < 0.5, np.log(2 * u + 5e-324), -np.log(2 * (1 - u)))
-
-    def laplace_cdf(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < 0, 0.5 * np.exp(x), 1.0 - 0.5 * np.exp(-x))
-
-    out = np.empty(n)
-    for i in range(n):
-        _, s = gibbs_step(np.array([x0[i]]), target, cfg, rng, warn_on_step=False)
-        out[i] = s.x[0]
-    stat_l = ks_1samp_cdf(out, laplace_cdf)
-    details.append(f"laplace KS={stat_l:.5f}")
-
-    ok = stat_g < crit and stat_l < crit
-    record("A7", ok, f"{'; '.join(details)} < critical {crit:.5f} (1%, n=1e5)")
-    assert stat_g < crit
-    assert stat_l < crit
+    rep = suite_stationarity(n=n)
+    details = "; ".join(f"{c['target']} KS={c['ks']:.5f}" for c in rep.details["cases"])
+    record("A7", rep.passed, f"{details} < critical {crit:.5f} (1%, n=1e5)")
+    assert rep.passed
 
 
 def test_a8_mode_equivalence():

@@ -13,6 +13,7 @@ from proxsamp import (
     make_gaussian,
     make_l1,
     make_power_norm,
+    make_quad_plus_l1,
     moment_estimate,
     run_chain,
     run_chains,
@@ -123,6 +124,26 @@ class TestSelectMu:
         assert pot.fourth_moment == pytest.approx(
             truth.moment(lambda x: float(x[0]) ** 4), rel=1e-6
         )
+
+    def test_quad_plus_l1_fourth_moment_d20(self):
+        # one-dimensional quadrature of exp(-x^2/2 - |x|) per coordinate
+        assert make_quad_plus_l1(20, np.ones(20), 1.0).fourth_moment == pytest.approx(
+            102.6724, rel=1e-6
+        )
+
+    @pytest.mark.parametrize("q, s", [(1.0, 1.0), (2.0, 1.5), (0.0, 1.0)])
+    def test_quad_plus_l1_fourth_moment_matches_quadrature(self, q, s):
+        from proxsamp.quadrature import QuadratureDensity
+
+        pot = make_quad_plus_l1(1, (q,), s)
+        truth = QuadratureDensity.build(pot.value, 1)
+        assert pot.fourth_moment == pytest.approx(
+            truth.moment(lambda x: float(x[0]) ** 4), rel=1e-6
+        )
+
+    def test_quad_plus_l1_moment_estimate_is_analytic(self):
+        est = moment_estimate(make_quad_plus_l1(20, np.ones(20), 1.0))
+        assert est.source == "analytic"
 
     def test_power_norm_moment_estimate_is_analytic(self):
         est = moment_estimate(make_power_norm(20, 0.5))
