@@ -14,6 +14,7 @@ from .bundle import (
     CuttingPlane,
     DualSolverError,
     ProxObjective,
+    SamplerError,
     gap_start_bound,
     iteration_bound_composite,
     iteration_bound_semismooth,
@@ -69,12 +70,14 @@ from .potentials import (
 )
 from .quadrature import QuadratureDensity, kl_divergence, modified_gaussian_integral, modified_gaussian_ratio
 from .rejection import (
+    ENVELOPE_VERSION,
     EnvelopeViolationError,
     RejectionBound,
     RejectionLimitError,
     RgoConfig,
     RgoSample,
     StepSizeWarning,
+    envelope_offset,
     lower_envelope,
     prox_of_target,
     rejection_bound,

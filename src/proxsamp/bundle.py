@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -18,7 +18,36 @@ from .potentials import Array, RegularizedTarget, _check_point
 DUAL_MAX_ITER = 10_000
 
 
-class DualSolverError(RuntimeError):
+class SamplerError(RuntimeError):
+    """A solver or sampler cap was reached.
+
+    ``context`` says where: ``run_chain`` adds the step, the seed and the
+    auxiliary point y, and ``proxsamp sample`` the chain index.  Errors
+    keep their attributes through pickling, so worker processes can
+    return them.
+    """
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.context = {}
+
+    def __str__(self) -> str:
+        keys = ("chain", "step", "seed", "y")
+        where = ", ".join(f"{k} {self.context[k]}" for k in keys if k in self.context)
+        return f"{super().__str__()} ({where})" if where else super().__str__()
+
+    def __reduce__(self):
+        return _rebuild_error, (type(self), self.args, self.__dict__)
+
+
+def _rebuild_error(cls, args, state):
+    err = cls.__new__(cls)
+    err.args = args
+    err.__dict__.update(state)
+    return err
+
+
+class DualSolverError(SamplerError):
     """Model QP reached its pivot cap above the gap tolerance.
 
     Carries the primal point ``x`` of the last dual iterate, its ``gap``,
@@ -35,7 +64,7 @@ class DualSolverError(RuntimeError):
         self.n_planes = n_planes
 
 
-class BundleLimitError(RuntimeError):
+class BundleLimitError(SamplerError):
     """Iteration cap hit before the gap dropped below delta.
 
     Usually signals a mis-specified (eta, delta) pair; carries the last
@@ -131,8 +160,14 @@ class BundleResult:
     ``x_model`` minimizes the final model subproblem, ``x_best`` is the best
     objective iterate, ``gap`` = g_y^eta(x_best) - model value at x_model is
     the termination certificate: x_best is a gap-accurate minimizer of
-    g_y^eta.  ``gaps``/``step_norms``/``model_points`` expose the per
-    iteration trajectory, ``planes`` the anchors in insertion order.
+    g_y^eta.  ``qp_gap`` is the dual certificate gap of the final model
+    subproblem (0 for the one-plane closed form): the model objective is at
+    least ``model_value - qp_gap`` + ||x - x_model||^2/(2 eta_mu), which is
+    the offset of the sampler's lower envelope (``envelope_offset``).
+
+    With ``prox_bundle(..., record=True)``, ``gaps``/``step_norms``/
+    ``model_points`` hold the per-iteration trajectory and ``planes`` the
+    anchors in insertion order; otherwise they are None.
     """
 
     x_model: Array
@@ -143,13 +178,16 @@ class BundleResult:
     best_value: float
     model_value: float
     delta: float
-    gaps: tuple
-    step_norms: tuple
-    model_points: tuple
-    planes: tuple
+    qp_gap: float
+    gaps: Optional[tuple] = None
+    step_norms: Optional[tuple] = None
+    model_points: Optional[tuple] = None
+    planes: Optional[tuple] = None
 
     def trace_rows(self):
-        """CSV-ready rows (j, t_j, ||x_j - x_{j-1}||)."""
+        """CSV-ready rows (j, t_j, ||x_j - x_{j-1}||) of a recorded run."""
+        if self.gaps is None:
+            raise ValueError("no trajectory: run prox_bundle with record=True")
         return [
             (j + 1, self.gaps[j], self.step_norms[j])
             for j in range(self.iterations)
@@ -174,9 +212,11 @@ def solve_model_subproblem(
     beyond rounding.  ``max_dual_iter`` caps the total number of pivots;
     reaching it raises ``DualSolverError``.  One plane (the usual case at
     regime step sizes) has the closed form u = c - eta_mu * slope and skips
-    the solver; the result is the same to the bit.
+    the solver; the result is the same to the bit, with gap 0.
 
-    Returns (x, value) where value is the model objective at x.
+    Returns (x, value, gap) where value is the model objective at x and gap
+    the certificate gap at the solver's weights, so value - gap is the dual
+    value that minorizes the model objective.
     """
     if len(planes) == 0:
         raise ValueError("need at least one cutting plane")
@@ -184,12 +224,12 @@ def solve_model_subproblem(
     if len(planes) == 1:
         plane = planes[0]
         x = c - obj.eta_mu * np.asarray(plane.slope, dtype=float)
-        return x, plane(x) + obj.quad_part(x)
+        return x, plane(x) + obj.quad_part(x), 0.0
     S = np.stack([p.slope for p in planes])
     b = np.array([p.offset for p in planes])
-    x, _, _ = _active_set_dual(S, b, c, obj.eta_mu, gap_tol, max_dual_iter)
+    x, gap, _ = _active_set_dual(S, b, c, obj.eta_mu, gap_tol, max_dual_iter)
     value = model_value(planes, x) + obj.quad_part(x)
-    return x, value
+    return x, value, gap
 
 
 # relative residual below which a slope counts as lying in the affine hull
@@ -381,6 +421,7 @@ def prox_bundle(
     delta: float,
     max_iter: int = 1000,
     max_dual_iter: int = DUAL_MAX_ITER,
+    record: bool = False,
 ) -> BundleResult:
     """Run the cutting-plane loop until the gap certificate drops below delta.
 
@@ -389,9 +430,12 @@ def prox_bundle(
     iterate (ties keep the older one, for determinism), and cuts a new plane
     at the model minimizer.  On return, g_y^eta(x_best) - min g_y^eta <=
     gap <= delta.  Termination comparisons are absolute, no rescaling.
+    ``record`` keeps the per-iteration trajectory in the result.
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     f = obj.target.base
     gap_tol = min(delta / 100.0, 1e-10)
 
@@ -408,7 +452,7 @@ def prox_bundle(
     step_norms = []
     model_points = []
     for j in range(1, max_iter + 1):
-        x_j, m_j = solve_model_subproblem(
+        x_j, m_j, qp_gap = solve_model_subproblem(
             planes, obj, gap_tol=gap_tol, max_dual_iter=max_dual_iter
         )
         f_j = f.value(x_j)
@@ -417,45 +461,41 @@ def prox_bundle(
             x_best = x_j
             best_value = val_j
         t_j = best_value - m_j
-        gaps.append(t_j)
-        step = x_j - x_prev
-        step_norms.append(math.sqrt(step @ step))
-        model_points.append(x_j)
-        x_prev = x_j
+        if record:
+            gaps.append(t_j)
+            step = x_j - x_prev
+            step_norms.append(math.sqrt(step @ step))
+            model_points.append(x_j)
+            x_prev = x_j
         if t_j <= delta:
-            return BundleResult(
-                x_model=x_j,
-                x_best=x_best,
-                iterations=j,
-                gap=t_j,
-                oracle_calls=oracle_calls,
-                best_value=best_value,
-                model_value=m_j,
-                delta=delta,
-                gaps=tuple(gaps),
-                step_norms=tuple(step_norms),
-                model_points=tuple(model_points),
-                planes=tuple(planes),
-            )
+            break
         planes.append(CuttingPlane(anchor=x_j, f_val=f_j, slope=f.subgrad(x_j)))
         oracle_calls += 1
 
-    last = BundleResult(
-        x_model=model_points[-1],
+    trajectory = {}
+    if record:
+        trajectory = dict(
+            gaps=tuple(gaps),
+            step_norms=tuple(step_norms),
+            model_points=tuple(model_points),
+            planes=tuple(planes),
+        )
+    res = BundleResult(
+        x_model=x_j,
         x_best=x_best,
-        iterations=max_iter,
-        gap=gaps[-1],
+        iterations=j,
+        gap=t_j,
         oracle_calls=oracle_calls,
         best_value=best_value,
-        model_value=best_value - gaps[-1],
+        model_value=m_j,
         delta=delta,
-        gaps=tuple(gaps),
-        step_norms=tuple(step_norms),
-        model_points=tuple(model_points),
-        planes=tuple(planes),
+        qp_gap=qp_gap,
+        **trajectory,
     )
+    if t_j <= delta:
+        return res
     raise BundleLimitError(
-        f"gap {gaps[-1]:.3e} > delta {delta:.3e} after {max_iter} iterations "
+        f"gap {t_j:.3e} > delta {delta:.3e} after {max_iter} iterations "
         "(eta/delta likely mis-specified for this potential)",
-        last,
+        res,
     )

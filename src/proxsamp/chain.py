@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bundle import ProxObjective
+from .bundle import ProxObjective, SamplerError
 from .potentials import Array, Potential, RegularizedTarget, SmoothnessProfile
 from .quadrature import QuadratureDensity
 from .rejection import RgoConfig, rgo_sample, semismooth_step
@@ -293,10 +293,18 @@ def gibbs_step(
     rng: np.random.Generator,
     warn_on_step: bool = True,
 ):
-    """One sweep: y_k = x_k + sqrt(eta) z, then x_{k+1} from the inner oracle."""
+    """One sweep: y_k = x_k + sqrt(eta) z, then x_{k+1} from the inner oracle.
+
+    A ``SamplerError`` of the inner oracle is re-raised with y added to its
+    ``context``.
+    """
     y = x_k + math.sqrt(rgo_cfg.eta) * rng.standard_normal(x_k.shape[0])
     obj = ProxObjective(target=target, eta=rgo_cfg.eta, y=y)
-    sample = rgo_sample(obj, rgo_cfg, rng, warn_on_step=warn_on_step)
+    try:
+        sample = rgo_sample(obj, rgo_cfg, rng, warn_on_step=warn_on_step)
+    except SamplerError as err:
+        err.context["y"] = y.tolist()
+        raise
     return y, sample
 
 
@@ -306,7 +314,12 @@ def run_chain(
     x_init: Optional[Array] = None,
     warn_on_step: bool = True,
 ) -> ChainTrace:
-    """Run K sweeps from x_init (default: the regularization center)."""
+    """Run K sweeps from x_init (default: the regularization center).
+
+    A ``SamplerError`` (a bundle, model QP or rejection cap reached) is
+    re-raised with the step and the seed added to its ``context``, next to
+    the auxiliary point y that ``gibbs_step`` adds.
+    """
     d = potential.dim
     center = np.asarray(config.center_x0, dtype=float)
     if center.shape != (d,):
@@ -329,7 +342,11 @@ def run_chain(
     subgrad_calls = np.zeros(k, dtype=np.int64)
     iterates[0] = x
     for i in range(k):
-        y, sample = gibbs_step(x, target, rgo_cfg, rng, warn_on_step=warn_on_step)
+        try:
+            y, sample = gibbs_step(x, target, rgo_cfg, rng, warn_on_step=warn_on_step)
+        except SamplerError as err:
+            err.context.update(step=i, seed=config.seed)
+            raise
         warn_on_step = False  # one warning per chain is enough
         x = sample.x
         aux[i] = y

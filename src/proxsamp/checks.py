@@ -17,6 +17,7 @@ from .potentials import Array
 from .quadrature import QuadratureDensity, modified_gaussian_ratio
 from .rejection import (
     EnvelopeViolationError,
+    envelope_offset,
     lower_envelope,
     prox_of_target,
     semismooth_step,
@@ -141,10 +142,11 @@ def sandwich_suite(
 ) -> SandwichReport:
     """Check lower <= g_y^eta <= upper at Gaussian probes around the center.
 
-    With a bundle result the lower envelope is the bundle form (model
-    center, best value minus delta); otherwise the exact form at the prox
-    point.  The upper envelope always needs the true prox point, taken from
-    the closed form when available, else from a high-accuracy bundle run.
+    With a bundle result the lower envelope is the one ``rgo_sample`` uses
+    in bundle mode (model center, ``envelope_offset``); otherwise the exact
+    form at the prox point.  The upper envelope always needs the true prox
+    point, taken from the closed form when available, else from a
+    high-accuracy bundle run.
     """
     profile = obj.target.base.profile
     if obj.target.base.prox is not None:
@@ -158,12 +160,10 @@ def sandwich_suite(
         h1 = lower_envelope(xstar, vstar, obj.eta_mu)
         center = xstar
     else:
-        h1 = lower_envelope(
-            bundle_result.x_model,
-            bundle_result.best_value - bundle_result.delta,
-            obj.eta_mu,
-        )
-        center = bundle_result.x_model
+        res = bundle_result
+        offset = envelope_offset(res.best_value, res.model_value, res.qp_gap, res.delta)
+        h1 = lower_envelope(res.x_model, float(offset), obj.eta_mu)
+        center = res.x_model
 
     scale = 5.0 * math.sqrt(obj.eta)
     min_lower = math.inf

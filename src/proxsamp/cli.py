@@ -1,8 +1,10 @@
 """Batch front-end: parameter tables, chain runs, verification suites.
 
-Exit codes: 0 success, 1 check failure, 2 usage error.  Configuration is a
-single JSON file with flat sections (target, regime, chain, output); every
-default is printable via ``proxsamp config --defaults``.
+Exit codes: 0 success, 1 check failure, 2 usage error, 3 sampler failure
+(a bundle, model QP or rejection cap reached; the message names the chain,
+the step, the seed and y).  Configuration is a single JSON file with flat
+sections (target, regime, chain, output); every default is printable via
+``proxsamp config --defaults``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
+from .bundle import SamplerError
 from .chain import (
     CSV_COLUMNS_VERSION,
     ChainConfig,
@@ -32,7 +35,7 @@ from .chain import (
     select_params_semismooth,
 )
 from .potentials import ZOO_NAMES, make_by_name
-from .rejection import RgoConfig, rejection_bound
+from .rejection import ENVELOPE_VERSION, RejectionBound, RgoConfig, rejection_bound
 from .verify import SUITES, run_suites
 
 DEFAULT_CONFIG = {
@@ -127,6 +130,13 @@ def resolve_parameters(cfg: dict) -> dict:
     }
 
 
+def _rejection_bound(p: dict, mode: str) -> RejectionBound:
+    """Expected-proposal bound at the resolved parameters."""
+    delta = p["delta"] if mode == "bundle" else 0.0
+    cfg = RgoConfig(eta=p["eta"], delta=delta, mode=mode)
+    return rejection_bound(cfg, p["potential"].profile, p["potential"].dim, mu=p["mu"])
+
+
 def cmd_params(args) -> int:
     cfg = load_config(args.config)
     p = resolve_parameters(cfg)
@@ -135,13 +145,7 @@ def cmd_params(args) -> int:
     eta, delta, mu = p["eta"], p["delta"], p["mu"]
     eta_mu = eta / (1.0 + eta * mu)
     eta_mu_l1 = eta / (1.0 + eta * mu + eta * profile.l_one)
-    mode = cfg["regime"]["rgo_mode"]
-    bound = rejection_bound(
-        RgoConfig(eta=eta, delta=delta if mode == "bundle" else 0.0, mode=mode),
-        profile,
-        pot.dim,
-        mu=mu,
-    )
+    bound = _rejection_bound(p, cfg["regime"]["rgo_mode"])
     rows = [
         ("target", f"{pot.name} (d={pot.dim})"),
         ("regime", p["kind"]),
@@ -170,13 +174,16 @@ def cmd_params(args) -> int:
 
 
 def _run_one_chain(payload):
-    name, dim, params, cfg_dict, x_init = payload
+    index, name, dim, params, cfg_dict, x_init = payload
     pot = make_by_name(name, dim, params)
     cfg = ChainConfig(**cfg_dict)
-    trace = run_chain(
-        pot, cfg, x_init=np.asarray(x_init, dtype=float) if x_init else None
-    )
-    return trace
+    try:
+        return run_chain(
+            pot, cfg, x_init=np.asarray(x_init, dtype=float) if x_init else None
+        )
+    except SamplerError as err:
+        err.context["chain"] = index
+        raise
 
 
 def cmd_sample(args) -> int:
@@ -207,6 +214,7 @@ def cmd_sample(args) -> int:
         cfg_i = dict(base, seed=int(csec["seed"]) + i)
         payloads.append(
             (
+                i,
                 cfg["target"]["name"],
                 pot.dim,
                 cfg["target"].get("params") or {},
@@ -237,6 +245,7 @@ def cmd_sample(args) -> int:
     manifest = {
         "version": __version__,
         "csv_columns": CSV_COLUMNS_VERSION,
+        "envelope": ENVELOPE_VERSION,
         "config": cfg,
         "resolved": {
             "eta": p["eta"],
@@ -253,17 +262,28 @@ def cmd_sample(args) -> int:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
     steps = max(1, n_chains * int(csec["n_iters"]))
+    proposals = np.concatenate([np.zeros(0)] + [t.rejections + 1 for t in traces])
+    p50, p99 = np.percentile(proposals, [50, 99]) if proposals.size else (0.0, 0.0)
+    bound = _rejection_bound(p, cfg["regime"]["rgo_mode"])
+    chain_means = [t.totals()["proposals_per_step"] for t in traces]
     summary = {
         "n_chains": n_chains,
         "n_iters": int(csec["n_iters"]),
         "mean_proposals_per_step": (totals["rejections"] + steps) / steps,
+        "p50_proposals_per_step": float(p50),
+        "p99_proposals_per_step": float(p99),
+        "max_proposals_per_step": float(proposals.max(initial=0.0)),
+        "rejection_bound": bound.value,
+        "rejection_bound_condition_ok": bound.condition_ok,
+        "chain_mean_proposals_per_step": chain_means,
+        "chain_mean_under_bound": [m <= bound.value for m in chain_means],
         "mean_bundle_iters_per_step": totals["bundle_iters"] / steps,
         "mean_subgrad_calls_per_step": totals["subgrad_calls"] / steps,
         "wall_clock_s": wall,
         "seconds_per_step": wall / steps,
     }
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(_strict_json(summary), fh, indent=2, sort_keys=True, allow_nan=False)
     print(f"wrote {len(csv_paths)} chains + manifest + summary to {out_dir}")
     return 0
 
@@ -340,12 +360,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as e:
+    except (UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except SamplerError as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

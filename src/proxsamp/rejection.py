@@ -16,8 +16,15 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .bundle import BundleResult, ProxObjective, prox_bundle
+from .bundle import BundleResult, ProxObjective, SamplerError, prox_bundle
 from .potentials import Array, SmoothnessProfile, _check_point
+
+# the bundle-mode lower envelope, recorded in manifest.json: a change to it
+# changes bundle-mode chains for the same seed
+ENVELOPE_VERSION = "dual-certificate;v2"
+
+# relative rounding margin of the dual-certificate offset
+_OFFSET_MARGIN = 64.0 * float(np.finfo(float).eps)
 
 
 class StepSizeWarning(UserWarning):
@@ -29,7 +36,7 @@ class EnvelopeViolationError(RuntimeError):
     """The lower envelope exceeded the target potential (broken invariant)."""
 
 
-class RejectionLimitError(RuntimeError):
+class RejectionLimitError(SamplerError):
     """Proposal cap hit; carries diagnostics for the offending call."""
 
     def __init__(self, message: str, rejections: int, center: Array):
@@ -76,21 +83,40 @@ class RgoSample:
 
 
 def lower_envelope(center: Array, offset: float, eta_mu: float) -> Callable:
-    """Quadratic minorant ||x - center||^2/(2 eta_mu) + offset.
+    """Quadratic minorant ||x - center||^2/(2 eta_mu) + offset of g_y^eta.
 
     Exact mode: center is the prox point and offset its objective value.
-    Bundle mode: center is the model minimizer and offset is the best
-    objective value minus delta.
+    Bundle mode: center is the model minimizer and offset is
+    ``envelope_offset`` of the bundle result.  ``rgo_sample`` tests its
+    proposals against this function.
     """
     if eta_mu <= 0:
         raise ValueError("eta_mu must be > 0")
     center = np.asarray(center, dtype=float)
+    inv_two_eta_mu = 1.0 / (2.0 * eta_mu)
 
     def h1(x):
-        d = np.asarray(x, dtype=float) - center
-        return float(d @ d) / (2.0 * eta_mu) + offset
+        d = x - center
+        return float(d @ d) * inv_two_eta_mu + offset
 
     return h1
+
+
+def envelope_offset(best_value, model_value, qp_gap, delta):
+    """Offset of the bundle-mode lower envelope centred at the model minimizer.
+
+    The model objective M (cutting-plane model plus the quadratic part of
+    g_y^eta) lies below g_y^eta and is 1/eta_mu-strongly convex.  So at the
+    model QP solver's own simplex weights, g_y^eta(x) >= M(x) >= dual +
+    ||x - x_model||^2/(2 eta_mu), where dual = model_value - qp_gap.  That
+    value, less a rounding margin of 64 eps (|model_value| + |best_value|),
+    is the offset, floored by the paper's best_value - delta (valid because
+    the final bundle gap best_value - model_value is at most delta).  The
+    offset is never below the paper's, so no proposal-count bound weakens.
+    Elementwise: the arguments may be floats or arrays of one shape.
+    """
+    margin = _OFFSET_MARGIN * (abs(model_value) + abs(best_value))
+    return np.maximum(best_value - delta, model_value - qp_gap - margin)
 
 
 def upper_envelope(
@@ -191,10 +217,11 @@ def rgo_sample(
     """Draw one point distributed exactly as exp(-g_y^eta).
 
     The proposal is N(center, eta_mu I); acceptance is tested in log space
-    (log U <= h1(X) - g_y^eta(X)) to avoid underflow.  In bundle mode the
-    cutting-plane run happens once per call and its center is reused across
-    all proposals.  The points this builds itself (center and proposals) are
-    evaluated without shape checks.
+    (log U <= h1(X) - g_y^eta(X)) to avoid underflow, with h1 the
+    ``lower_envelope``.  In bundle mode the cutting-plane run happens once
+    per call; its model minimizer is the center and ``envelope_offset`` the
+    offset for all proposals.  The points this builds itself (center and
+    proposals) are evaluated without shape checks.
     """
     if not math.isclose(cfg.eta, obj.eta, rel_tol=1e-12):
         raise ValueError(f"config eta {cfg.eta} differs from objective eta {obj.eta}")
@@ -218,17 +245,17 @@ def rgo_sample(
     else:
         res: BundleResult = prox_bundle(obj, cfg.delta, max_iter=bundle_max_iter)
         center = res.x_model
-        offset = res.best_value - cfg.delta
+        offset = float(
+            envelope_offset(res.best_value, res.model_value, res.qp_gap, res.delta)
+        )
         bundle_iters = res.iterations
         subgrad_calls = res.oracle_calls
 
+    h1 = lower_envelope(center, offset, eta_mu)
     scale = math.sqrt(eta_mu)
-    inv_two_eta_mu = 1.0 / (2.0 * eta_mu)
     for k in range(cfg.max_rejections):
         x = center + scale * rng.standard_normal(dim)
-        d = x - center
-        h1_x = float(d @ d) * inv_two_eta_mu + offset
-        log_ratio = h1_x - obj._value(x)
+        log_ratio = h1(x) - obj._value(x)
         if log_ratio > 1e-9:
             raise EnvelopeViolationError(
                 f"lower envelope exceeds target by {log_ratio:.3e} at a proposal; "

@@ -140,7 +140,7 @@ def bundle_case(name: str, pot: Potential, n_draws: int, seed: int) -> dict:
     violations = 0
     for i in range(n_draws):
         obj = ProxObjective(target, eta, 2.0 * rng.standard_normal(dim))
-        res = prox_bundle(obj, delta)
+        res = prox_bundle(obj, delta, record=True)
         t1 = res.gaps[0]
         if prof.l_one > 0:
             j0 = iteration_bound_composite(

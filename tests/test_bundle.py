@@ -10,6 +10,7 @@ from proxsamp import (
     ProxObjective,
     RegularizedTarget,
     default_zoo,
+    envelope_offset,
     gap_start_bound,
     iteration_bound_composite,
     iteration_bound_semismooth,
@@ -36,7 +37,7 @@ class TestModelSubproblem:
     def test_single_plane_closed_form(self):
         pot = make_l1(1, 1.0)
         obj = make_obj(pot, 0.0, np.zeros(1), 0.5, [2.0])
-        x, val = solve_model_subproblem([plane_at(pot, [2.0])], obj)
+        x, val, _ = solve_model_subproblem([plane_at(pot, [2.0])], obj)
         assert x[0] == pytest.approx(2.0 - 0.5 * 1.0)
         # grid oracle over the model objective
         u = np.arange(-4, 4, 1e-4)
@@ -50,14 +51,14 @@ class TestModelSubproblem:
             CuttingPlane(np.array([1.0]), 1.0, np.array([1.0])),
             CuttingPlane(np.array([-1.0]), 1.0, np.array([-1.0])),
         ]
-        x, val = solve_model_subproblem(planes, obj)
+        x, val, _ = solve_model_subproblem(planes, obj)
         assert x[0] == pytest.approx(0.0, abs=1e-10)
         assert val == pytest.approx(0.0, abs=1e-10)
 
     def test_regularized_2d_vs_grid(self):
         pot = make_gaussian(2, (1.0, 1.0))
         obj = make_obj(pot, 1.0, np.zeros(2), 1.0, [1.0, 0.0])
-        x, val = solve_model_subproblem([plane_at(pot, [1.0, 0.0])], obj)
+        x, val, _ = solve_model_subproblem([plane_at(pot, [1.0, 0.0])], obj)
         np.testing.assert_allclose(x, [0.0, 0.0], atol=1e-12)
         # dense grid cross-check
         g = np.linspace(-2, 2, 801)
@@ -73,7 +74,7 @@ class TestModelSubproblem:
         pot = make_l1(1, 1.0)
         obj = make_obj(pot, 0.3, np.array([0.5]), 0.7, [1.3])
         planes = [plane_at(pot, [a]) for a in (-2.0, -0.3, 0.9, 1.3)]
-        x, val = solve_model_subproblem(planes, obj)
+        x, val, _ = solve_model_subproblem(planes, obj)
         u = np.arange(-4, 4, 1e-5)
         model = np.max(
             [p.f_val + p.slope[0] * (u - p.anchor[0]) for p in planes], axis=0
@@ -120,11 +121,46 @@ class TestModelSubproblem:
                 model = np.max([p.f_val + (pts - p.anchor) @ p.slope for p in planes], axis=0)
                 return model + np.sum((pts - obj.y) ** 2, axis=-1) / (2.0 * eta)
 
-            x, val = solve_model_subproblem(planes, obj)
+            x, val, _ = solve_model_subproblem(planes, obj)
             assert val == pytest.approx(objective(x))
             # no grid point beats x, globally or in a fine patch around it
             assert val <= objective(box).min() + 1e-12
             assert val <= objective(x + patch).min() + 1e-12
+
+    def test_qp_gap_within_tolerance_2d(self):
+        # a two-dimensional model of several planes needs the active-set
+        # solver, whose certificate gap must meet gap_tol
+        pot = make_l1(2, 1.0)
+        obj = make_obj(pot, 0.2, np.zeros(2), 0.7, [0.4, -0.3])
+        planes = [plane_at(pot, a) for a in ([0.5, -0.5], [-0.5, 0.5], [0.5, 0.5], [-0.2, -0.6])]
+        for gap_tol in (1e-10, 1e-13):
+            x, val, qp_gap = solve_model_subproblem(planes, obj, gap_tol=gap_tol)
+            assert 0.0 <= qp_gap <= gap_tol
+        # and through prox_bundle, whose own tolerance is min(delta/100, 1e-10)
+        res = prox_bundle(obj, delta=1e-6, record=True)
+        assert len(res.planes) >= 2
+        assert 0.0 <= res.qp_gap <= 1e-10
+
+    def test_certificate_offset_minorizes_loose_solves(self):
+        # stopped early at gap_tol = 0.5, the model value alone is no lower
+        # bound, but the envelope offset built from (value, gap) still is
+        pot = make_l1(2, 1.0)
+        rng = np.random.default_rng(0)
+        worst_gap = 0.0
+        for _ in range(20):
+            obj = make_obj(pot, 0.2, np.zeros(2), 0.7, rng.standard_normal(2))
+            planes = [plane_at(pot, a) for a in rng.standard_normal((5, 2)) * 0.7]
+            x, val, qp_gap = solve_model_subproblem(planes, obj, gap_tol=0.5)
+            worst_gap = max(worst_gap, qp_gap)
+            offset = envelope_offset(val, val, qp_gap, 1.0)
+            u = x + rng.standard_normal((500, 2))
+            S = np.stack([p.slope for p in planes])
+            b = np.array([p.offset for p in planes])
+            model = np.max(u @ S.T + b, axis=1)
+            quad = 0.1 * np.sum(u**2, axis=1) + np.sum((u - obj.y) ** 2, axis=1) / 1.4
+            h1 = offset + np.sum((u - x) ** 2, axis=1) / (2.0 * obj.eta_mu)
+            assert np.all(h1 <= model + quad + 1e-12)
+        assert worst_gap > 0.3
 
 
 class TestUncheckedPaths:
@@ -152,11 +188,11 @@ class TestUncheckedPaths:
         for _ in range(20):
             obj = make_obj(pot, mu, rng.standard_normal(dim), rng.uniform(0.05, 2.0), rng.standard_normal(dim) * 2.0)
             plane = plane_at(pot, obj.y + rng.standard_normal(dim))
-            x, val = solve_model_subproblem([plane], obj)
+            x, val, qp_gap = solve_model_subproblem([plane], obj)
             u, gap, pivots = _active_set_dual(
                 plane.slope[None, :], np.array([plane.offset]), obj.quad_center, obj.eta_mu, 1e-10, 10
             )
-            assert (gap, pivots) == (0.0, 0)
+            assert (qp_gap, gap, pivots) == (0.0, 0.0, 0)
             assert x.tolist() == u.tolist()
             assert val == model_value([plane], u) + obj.quad_part(u)
 
@@ -213,7 +249,7 @@ class TestProxBundle:
         rng = np.random.default_rng(42)
         y = rng.standard_normal(5)
         obj = make_obj(pot, 0.0, np.zeros(5), eta, y)
-        res = prox_bundle(obj, delta=1.0 / 5.0)
+        res = prox_bundle(obj, delta=1.0 / 5.0, record=True)
         prof = pot.profile
         j0 = iteration_bound_semismooth(
             obj.eta_mu, prof.l_alpha, prof.alpha, 0.2, res.gaps[0]
@@ -272,8 +308,17 @@ class TestBundleInvariants:
             y = rng.standard_normal(dim) * 2.0
             eta = rng.uniform(0.05, 1.0)
             obj = make_obj(pot, mu, np.zeros(dim), eta, y)
-            res = prox_bundle(obj, delta=1e-3, max_iter=400)
+            res = prox_bundle(obj, delta=1e-3, max_iter=400, record=True)
             prof = pot.profile
+            # the sampler's envelope offset is at least the paper's, and its
+            # envelope around x_model stays below g_y^eta
+            offset = envelope_offset(res.best_value, res.model_value, res.qp_gap, res.delta)
+            assert offset >= res.best_value - res.delta - 1e-10
+            probe_rng = np.random.default_rng(trial)
+            for _ in range(100):
+                u = res.x_model + probe_rng.standard_normal(dim) * 2.0
+                h1 = offset + float((u - res.x_model) @ (u - res.x_model)) / (2.0 * obj.eta_mu)
+                assert h1 <= obj.value(u) + 1e-9
             # models grow and stay below f
             for j in range(1, len(res.planes) + 1):
                 fj = reconstruct_model(res.planes, j)
@@ -316,7 +361,7 @@ class TestBundleInvariants:
         for _ in range(40):
             y = rng.standard_normal(dim) * 2.0
             obj = make_obj(pot, 0.0, np.zeros(dim), eta, y)
-            res = prox_bundle(obj, delta)
+            res = prox_bundle(obj, delta, record=True)
             t1 = res.gaps[0]
             if prof.l_one > 0:
                 j0 = iteration_bound_composite(
@@ -331,7 +376,7 @@ class TestBundleInvariants:
     def test_trace_rows_shape(self):
         pot = make_l1(2, 1.0)
         obj = make_obj(pot, 0.0, np.zeros(2), 1.0, [2.0, -1.0])
-        res = prox_bundle(obj, delta=1e-4)
+        res = prox_bundle(obj, delta=1e-4, record=True)
         rows = res.trace_rows()
         assert len(rows) == res.iterations
         assert rows[0][0] == 1

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from proxsamp import (
+    BundleLimitError,
     ChainConfig,
     MomentEstimate,
     RegularizedTarget,
@@ -287,6 +288,30 @@ class TestChain:
         trace.to_csv(path)
         assert path.read_bytes() == reference_csv(trace)
 
+    def test_sampler_failure_carries_context(self, monkeypatch):
+        import functools
+        import pickle
+
+        import proxsamp.chain as chain
+        from proxsamp import rgo_sample
+
+        # one bundle iteration cannot reach this gap tolerance
+        monkeypatch.setattr(chain, "rgo_sample", functools.partial(rgo_sample, bundle_max_iter=1))
+        pot = make_power_norm(5, 0.5)
+        eta, _ = select_params_semismooth(pot.profile, 5)
+        cfg = ChainConfig(eta=eta, delta=1e-12, mu=0.0, center_x0=(0.0,) * 5, n_iters=3, seed=8)
+        with pytest.raises(BundleLimitError) as exc:
+            run_chain(pot, cfg)
+        err = exc.value
+        assert err.context["step"] == 0 and err.context["seed"] == 8
+        assert len(err.context["y"]) == 5
+        assert str(err).endswith(f"(step 0, seed 8, y {err.context['y']})")
+        # worker processes return the error pickled
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is BundleLimitError
+        assert str(back) == str(err)
+        assert back.result.iterations == err.result.iterations
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ChainConfig(eta=0.0, delta=1.0, mu=0.0, center_x0=(0.0,), n_iters=1, seed=0)
@@ -312,12 +337,13 @@ def _trace_digest(trace):
 
 
 class TestSeedReplay:
-    """Chains replay bit for bit: the pinned values were recorded before the
-    sweep was streamlined (unchecked inner evaluations, one value query per
-    point, the one-plane closed form), so any change to the RNG call order
-    or to a floating-point expression on the sampling path shows here.
-    The digests cover iterates, aux, rejections, bundle_iters and
-    subgrad_calls."""
+    """Chains replay bit for bit: the exact-mode pins were recorded before
+    the sweep was streamlined (unchecked inner evaluations, one value query
+    per point, the one-plane closed form), and the bundle-mode pins with the
+    dual-certificate envelope (manifest ``envelope`` "dual-certificate;v2"),
+    so any change to the RNG call order or to a floating-point expression
+    on the sampling path shows here.  The digests cover iterates, aux,
+    rejections, bundle_iters and subgrad_calls."""
 
     def test_l1_bundle_regularized(self):
         pot = make_l1(1, 1.0)
@@ -325,16 +351,16 @@ class TestSeedReplay:
         cfg = ChainConfig(eta=eta, delta=delta, mu=0.05, center_x0=(0.0,), n_iters=12, seed=11)
         trace = run_chain(pot, cfg, x_init=np.array([0.3]))
         expected = [
-            "0x1.3333333333333p-2", "0x1.e2ef15a6301b0p-4", "0x1.8661b2b76c1e2p-3",
-            "0x1.1e7b92ea3841ap-2", "0x1.d611004a8e4d0p-4", "-0x1.13f3c25a0f350p-6",
-            "-0x1.0f4ee47a7e0bcp-1", "-0x1.33bbde5ae5b92p-2", "0x1.34d2dac8b023cp-5",
-            "-0x1.7902bd95dc3dap-4", "-0x1.9a3330672faecp-2", "-0x1.5c07c2707a400p-12",
-            "0x1.8698aeb76421dp-3",
+            "0x1.3333333333333p-2", "0x1.2b5c4ff252971p-1", "0x1.46a997848bbaep-2",
+            "0x1.88e8e006cb89bp-2", "0x1.3be645a1ce824p-3", "0x1.cd2051d1bd6b7p-4",
+            "-0x1.3ceed1f330b32p-5", "-0x1.247116f0d65f0p-1", "-0x1.274ed4de14eb5p+0",
+            "-0x1.808449bea4994p+0", "-0x1.33b25f7d5e58fp+0", "-0x1.39a0f5ec3e725p+0",
+            "-0x1.1909bbdf7b7b2p+0",
         ]
         assert trace.iterates[:, 0].tolist() == [float.fromhex(h) for h in expected]
-        assert trace.rejections.tolist() == [1, 0, 2, 2, 0, 1, 0, 0, 1, 2, 1, 1]
+        assert trace.rejections.tolist() == [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0]
         assert trace.bundle_iters.tolist() == [1] * 12
-        assert _trace_digest(trace) == "803eba2b3ecfca89a88ac5e74e4c7cb2213d1727c664105172dd9bbbd3c88eeb"
+        assert _trace_digest(trace) == "157009da7f27b9651d05e4b89a216f5d63352d4038ebf7d00031405b23276284"
 
     def test_power_norm_bundle_d20(self):
         pot = make_power_norm(20, 0.5)
@@ -368,8 +394,8 @@ class TestSeedReplay:
         assert _trace_digest(trace) == "700d4d25107d8ddc2e6b28d92f4ce5eda775b3b7abf311261f8a2aa5c9b45779"
 
     SWEEP_DIGESTS = {
-        "l1": "af915722f2571e7dece3c88fbfbe210aca3847dfad752571b22b0473794992d9",
-        "power_norm": "e69c786722232c50011aa293ad9f71519d387b1708930fe8b0d0f5a823a04f22",
+        "l1": "9f97e51f32424eb991925b1d61e7300775a069bdeaaf702751c24167831ac2ef",
+        "power_norm": "3a76957f831bb94bc1c83102d8976f838725fec794318edd279519e0b58b156e",
         "gaussian": "ab811ddd9dd10019e9aa62a118d5830563e2ac91d0c710e28d6bb0d6c093dce9",
     }
 

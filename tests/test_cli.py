@@ -149,6 +149,74 @@ class TestSample:
         assert manifest["wall_clock_s"] == summary["wall_clock_s"]
         assert summary["seconds_per_step"] == summary["wall_clock_s"] / (2 * 40)
 
+    def test_summary_distribution_and_bound(self, capsys, tmp_path):
+        from proxsamp import ENVELOPE_VERSION, RgoConfig, make_l1, rejection_bound, select_mu, select_params_semismooth
+        from proxsamp.chain import moment_estimate
+
+        cfg = self.make_config(tmp_path, n_chains=3)
+        out_dir = tmp_path / "out"
+        assert run_cli(["sample", "--config", str(cfg), "--out-dir", str(out_dir)], capsys)[0] == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        summary = json.loads((out_dir / "summary.json").read_text(), parse_constant=reject)
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["envelope"] == ENVELOPE_VERSION
+        counts = []
+        for i in range(3):
+            rows = (out_dir / f"chain_{i:03d}.csv").read_text().splitlines()[2:]
+            counts.append([int(r.split(",")[-3]) + 1 for r in rows])
+        flat = np.concatenate(counts)
+        assert summary["mean_proposals_per_step"] == pytest.approx(flat.mean())
+        assert summary["p50_proposals_per_step"] == np.percentile(flat, 50)
+        assert summary["p99_proposals_per_step"] == np.percentile(flat, 99)
+        assert summary["max_proposals_per_step"] == flat.max()
+        # the bound at the resolved parameters: l1, semi-smooth, bundle mode
+        pot = make_l1(1, 1.0)
+        eta, delta = select_params_semismooth(pot.profile, 1)
+        mu = select_mu(0.2, moment_estimate(pot))
+        bound = rejection_bound(RgoConfig(eta=eta, delta=delta, mode="bundle"), pot.profile, 1, mu=mu)
+        assert summary["rejection_bound"] == bound.value == 2.0 * math.exp(1.0)
+        assert summary["rejection_bound_condition_ok"] is True
+        means = [float(np.mean(c)) for c in counts]
+        assert summary["chain_mean_proposals_per_step"] == pytest.approx(means)
+        assert summary["chain_mean_under_bound"] == [m <= bound.value for m in means]
+
+    @pytest.mark.filterwarnings("ignore:step size exceeds the guard")
+    @pytest.mark.parametrize("cap", ["max_rejections", "max_iter"])
+    def test_sampler_failure_reports_context(self, capsys, tmp_path, monkeypatch, cap):
+        import functools
+
+        import proxsamp.chain as chain
+        import proxsamp.rejection as rejection
+
+        if cap == "max_rejections":
+            # a step size far above the guard with one proposal allowed
+            regime = {"kind": "semi-smooth", "eps": 0.2, "eta": 50.0}
+            target = {"name": "l1", "dim": 1, "params": {"scale": 1.0}}
+            monkeypatch.setattr(
+                chain.ChainConfig,
+                "rgo",
+                lambda c: rejection.RgoConfig(eta=c.eta, delta=c.delta, mode=c.rgo_mode, max_rejections=1),
+            )
+            error = "RejectionLimitError"
+        else:
+            # a gap tolerance that one bundle iteration cannot reach
+            regime = {"kind": "semi-smooth", "eps": 0.2, "delta": 1e-12}
+            target = {"name": "power_norm", "dim": 5, "params": {"alpha": 0.5}}
+            monkeypatch.setattr(chain, "rgo_sample", functools.partial(rejection.rgo_sample, bundle_max_iter=1))
+            error = "BundleLimitError"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(
+            json.dumps({"target": target, "regime": regime, "chain": {"n_iters": 50, "n_chains": 2, "seed": 3}})
+        )
+        code, _, err = run_cli(["sample", "--config", str(cfg), "--out-dir", str(tmp_path / "o")], capsys)
+        assert code == 3
+        assert err.startswith(f"error: {error}: ")
+        assert "(chain 0, step " in err and ", seed 3, y [" in err
+        assert "Traceback" not in err
+
     def test_env_var_default_dir(self, capsys, tmp_path, monkeypatch):
         cfg = self.make_config(tmp_path, n_chains=1)
         monkeypatch.setenv("PROXSAMP_OUT", str(tmp_path / "envdir"))

@@ -12,6 +12,7 @@ from proxsamp import (
     RgoConfig,
     SmoothnessProfile,
     StepSizeWarning,
+    envelope_offset,
     lower_envelope,
     make_gaussian,
     make_l1,
@@ -74,6 +75,54 @@ class TestEnvelopes:
         res = prox_bundle(obj, delta=1e-9, max_iter=2000)
         assert obj.value(xstar) <= obj.value(res.x_best) + 2e-9
         np.testing.assert_allclose(xstar, res.x_best, atol=1e-3)
+
+
+class TestEnvelopeOffset:
+    def test_rgo_sample_uses_dual_certificate_offset(self):
+        # l1 at d=1: one-plane bundle steps, whose model value is the exact
+        # minimum of the model objective, well above best_value - delta
+        eta, delta = select_params_semismooth(make_l1(1, 1.0).profile, 1)
+        cfg = RgoConfig(eta=eta, delta=delta, mode="bundle")
+        rng = np.random.default_rng(12)
+        for y in (-2.0, -0.1, 0.05, 1.3):
+            obj = l1_objective(eta, y, mu=0.05)
+            res = prox_bundle(obj, delta)
+            offset = envelope_offset(res.best_value, res.model_value, res.qp_gap, delta)
+            assert res.qp_gap == 0.0
+            assert offset > res.best_value - delta
+            assert offset <= res.model_value
+            s = rgo_sample(obj, cfg, rng, warn_on_step=False)
+            assert s.envelope_offset == offset
+            assert s.center.tolist() == res.x_model.tolist()
+
+    def test_elementwise_on_arrays(self):
+        best = np.array([1.0, 5.0, -2.0])
+        model = np.array([0.9, 4.0, -2.5])
+        gap = np.array([0.0, 1e-11, 0.0])
+        out = envelope_offset(best, model, gap, 0.5)
+        assert out.shape == (3,)
+        for i in range(3):
+            assert out[i] == envelope_offset(best[i], model[i], gap[i], 0.5)
+        assert out[1] == 4.5 and out[2] == -2.5
+
+    def test_huge_values_fall_back_to_paper_offset(self):
+        # g ~ 7.6e14 at this y, where one ulp is 0.125: the rounding margin
+        # exceeds delta, so the offset is best_value - delta, as before the
+        # dual certificate, and no proposal trips the envelope guard
+        pot = make_l1(3, 1.0)
+        eta, delta = select_params_semismooth(pot.profile, 3)
+        y = np.array([1e-300, -0.0, 123456789.125])
+        obj = ProxObjective(RegularizedTarget(pot, 0.1, np.zeros(3)), eta, y)
+        res = prox_bundle(obj, delta)
+        assert abs(res.best_value) > 1e14
+        offset = envelope_offset(res.best_value, res.model_value, res.qp_gap, delta)
+        assert offset == res.best_value - delta
+        cfg = RgoConfig(eta=eta, delta=delta, mode="bundle")
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            s = rgo_sample(obj, cfg, rng, warn_on_step=False)
+            assert s.envelope_offset == res.best_value - delta
+            assert s.log_accept_ratio <= 1e-9
 
 
 class TestRgoSample:
