@@ -8,7 +8,7 @@ solving each model subproblem exactly through its simplex-constrained dual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -76,41 +76,62 @@ class BundleLimitError(SamplerError):
         self.result = result
 
 
+class _computed_once:
+    """A method read as an attribute, computed on the first read only.
+
+    The value is stored in the instance ``__dict__``, where it shadows this
+    non-data descriptor from then on, so later reads are plain attribute
+    reads.  Unlike ``functools.cached_property`` on Python 3.11, the first
+    read takes no lock.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class ProxObjective:
     """The proximal target g_y^eta for a fixed prox center y.
 
     ``eta_mu`` = eta/(1 + eta*mu) is the curvature stepsize of g_y^eta
     (the objective is 1/eta_mu-strongly convex); ``eta_mu_l1`` additionally
-    folds in the smooth coefficient of the potential.
+    folds in the smooth coefficient of the potential.  ``quad_center`` =
+    eta_mu * (mu*x0 + y/eta) is the minimizer of ``quad_part``.  Both are
+    plain attributes computed once per objective: ``eta_mu`` at
+    construction, ``quad_center`` on its first read, since exact mode at
+    mu = 0 never reads it.
     """
 
     target: RegularizedTarget
     eta: float
     y: Array
+    eta_mu: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.eta <= 0:
             raise ValueError("eta must be > 0")
         object.__setattr__(self, "y", _check_point(self.y, self.target.base.dim))
+        object.__setattr__(self, "eta_mu", self.eta / (1.0 + self.eta * self.target.mu))
+
+    @_computed_once
+    def quad_center(self) -> Array:
+        return self.eta_mu * (self.target.mu * self.target.center + self.y / self.eta)
 
     @property
     def dim(self) -> int:
         return self.target.base.dim
 
     @property
-    def eta_mu(self) -> float:
-        return self.eta / (1.0 + self.eta * self.target.mu)
-
-    @property
     def eta_mu_l1(self) -> float:
         l_one = self.target.base.profile.l_one
         return self.eta / (1.0 + self.eta * self.target.mu + self.eta * l_one)
-
-    @property
-    def quad_center(self) -> Array:
-        """Minimizer eta_mu * (mu*x0 + y/eta) of ``quad_part``."""
-        return self.eta_mu * (self.target.mu * self.target.center + self.y / self.eta)
 
     def value(self, x: Array) -> float:
         return self._value(_check_point(x, self.dim))
@@ -161,9 +182,11 @@ class BundleResult:
     objective iterate, ``gap`` = g_y^eta(x_best) - model value at x_model is
     the termination certificate: x_best is a gap-accurate minimizer of
     g_y^eta.  ``qp_gap`` is the dual certificate gap of the final model
-    subproblem (0 for the one-plane closed form): the model objective is at
-    least ``model_value - qp_gap`` + ||x - x_model||^2/(2 eta_mu), which is
-    the offset of the sampler's lower envelope (``envelope_offset``).
+    subproblem (0 for the one-plane closed form, 0 up to rounding for the
+    two-plane one, at most the solver's tolerance for three or more
+    planes): the model objective is at least ``model_value - qp_gap`` +
+    ||x - x_model||^2/(2 eta_mu), which is the offset of the sampler's
+    lower envelope (``envelope_offset``).
 
     With ``prox_bundle(..., record=True)``, ``gaps``/``step_norms``/
     ``model_points`` hold the per-iteration trajectory and ``planes`` the
@@ -203,16 +226,22 @@ def solve_model_subproblem(
     """Exact minimizer of model + (mu/2)||.-x0||^2 + ||.-y||^2/(2 eta).
 
     Solved through the dual: for simplex weights w over the planes the
-    primal point is u(w) = eta_mu * (mu*x0 + y/eta - sum_i w_i slope_i) and
-    the concave dual <w, gamma0> - (eta_mu/2) w'Gw (G the Gram matrix of the
-    slopes) is maximized over the simplex by a finite active-set method
-    (``_active_set_dual``).  Its certificate gap = max(grad) - <w, grad> is
-    the primal-dual gap of the model subproblem; the solve stops once
-    gap <= gap_tol or no plane outside the support can raise the dual
-    beyond rounding.  ``max_dual_iter`` caps the total number of pivots;
-    reaching it raises ``DualSolverError``.  One plane (the usual case at
-    regime step sizes) has the closed form u = c - eta_mu * slope and skips
-    the solver; the result is the same to the bit, with gap 0.
+    primal point is u(w) = c - eta_mu * sum_i w_i slope_i, with c =
+    ``obj.quad_center``, and the concave dual <w, b + S c> - (eta_mu/2)
+    ||S'w||^2 (b the plane offsets, S the slopes) is maximized over the
+    simplex.  Its certificate gap max(v) - <w, v>, with v the plane values
+    at u(w), is the primal-dual gap of the model subproblem.
+
+    One and two planes, the usual cases at regime step sizes, have closed
+    forms.  One plane: u = c - eta_mu * slope, gap 0.  Two planes: the dual
+    is concave in w = w_2 on [0, 1] and its maximizer is
+    w* = clip(((b2 - b1) + <s2 - s1, c - eta_mu s1>) / (eta_mu ||s2 - s1||^2),
+    0, 1); identical slopes take the plane with the larger offset.  Its gap
+    is the certificate at (1 - w*, w*), which is 0 up to rounding.  Three
+    or more planes go to the finite active-set method ``_active_set_dual``,
+    which stops once gap <= gap_tol or no plane outside the support can
+    raise the dual beyond rounding; ``max_dual_iter`` caps its pivots, and
+    reaching the cap raises ``DualSolverError``.
 
     Returns (x, value, gap) where value is the model objective at x and gap
     the certificate gap at the solver's weights, so value - gap is the dual
@@ -221,15 +250,47 @@ def solve_model_subproblem(
     if len(planes) == 0:
         raise ValueError("need at least one cutting plane")
     c = obj.quad_center
+    eta_mu = obj.eta_mu
     if len(planes) == 1:
         plane = planes[0]
-        x = c - obj.eta_mu * np.asarray(plane.slope, dtype=float)
+        x = c - eta_mu * np.asarray(plane.slope, dtype=float)
         return x, plane(x) + obj.quad_part(x), 0.0
+    if len(planes) == 2:
+        x, top, gap = _two_plane_dual(planes[0], planes[1], c, eta_mu)
+        return x, top + obj.quad_part(x), gap
     S = np.stack([p.slope for p in planes])
     b = np.array([p.offset for p in planes])
-    x, gap, _ = _active_set_dual(S, b, c, obj.eta_mu, gap_tol, max_dual_iter)
+    x, gap, _ = _active_set_dual(S, b, c, eta_mu, gap_tol, max_dual_iter)
     value = model_value(planes, x) + obj.quad_part(x)
     return x, value, gap
+
+
+def _two_plane_dual(p1: CuttingPlane, p2: CuttingPlane, c: Array, curv: float):
+    """Closed-form maximizer of the model dual over two planes.
+
+    With weights (1 - w, w) the dual <(1-w, w), b + S c> - (curv/2)
+    ||s1 + w (s2 - s1)||^2 is a concave quadratic in w, maximized over
+    [0, 1] by clipping its stationary point.  Returns (u, max(v), gap) for
+    u = c - curv (s1 + w (s2 - s1)) and the plane values v at u; the gap
+    max(v) - <(1-w, w), v> is written as a product of nonnegative factors,
+    so rounding cannot make it negative.
+    """
+    s1 = np.asarray(p1.slope, dtype=float)
+    s2 = np.asarray(p2.slope, dtype=float)
+    b1, b2 = p1.offset, p2.offset
+    ds = s2 - s1
+    a = c - curv * s1
+    den = curv * float(ds @ ds)
+    if den > 0.0:
+        w = min(max(((b2 - b1) + float(ds @ a)) / den, 0.0), 1.0)
+    else:
+        # identical slopes: the plane with the larger offset is the model
+        w = 1.0 if b2 > b1 else 0.0
+    u = a - (curv * w) * ds
+    v1 = b1 + float(s1 @ u)
+    v2 = b2 + float(s2 @ u)
+    gap = (1.0 - w) * (v2 - v1) if v2 > v1 else w * (v1 - v2)
+    return u, max(v1, v2), gap
 
 
 # relative residual below which a slope counts as lying in the affine hull

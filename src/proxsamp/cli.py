@@ -262,17 +262,15 @@ def cmd_sample(args) -> int:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
     steps = max(1, n_chains * int(csec["n_iters"]))
-    proposals = np.concatenate([np.zeros(0)] + [t.rejections + 1 for t in traces])
-    p50, p99 = np.percentile(proposals, [50, 99]) if proposals.size else (0.0, 0.0)
     bound = _rejection_bound(p, cfg["regime"]["rgo_mode"])
     chain_means = [t.totals()["proposals_per_step"] for t in traces]
     summary = {
         "n_chains": n_chains,
         "n_iters": int(csec["n_iters"]),
         "mean_proposals_per_step": (totals["rejections"] + steps) / steps,
-        "p50_proposals_per_step": float(p50),
-        "p99_proposals_per_step": float(p99),
-        "max_proposals_per_step": float(proposals.max(initial=0.0)),
+        **_distribution("proposals", [t.rejections + 1 for t in traces]),
+        **_distribution("bundle_iters", [t.bundle_iters for t in traces]),
+        **_distribution("subgrad_calls", [t.subgrad_calls for t in traces]),
         "rejection_bound": bound.value,
         "rejection_bound_condition_ok": bound.condition_ok,
         "chain_mean_proposals_per_step": chain_means,
@@ -286,6 +284,17 @@ def cmd_sample(args) -> int:
         json.dump(_strict_json(summary), fh, indent=2, sort_keys=True, allow_nan=False)
     print(f"wrote {len(csv_paths)} chains + manifest + summary to {out_dir}")
     return 0
+
+
+def _distribution(name: str, per_chain) -> dict:
+    """p50, p99 and max over all steps of a per-step counter."""
+    per_step = np.concatenate([np.zeros(0)] + per_chain)
+    p50, p99 = np.percentile(per_step, [50, 99]) if per_step.size else (0.0, 0.0)
+    return {
+        f"p50_{name}_per_step": float(p50),
+        f"p99_{name}_per_step": float(p99),
+        f"max_{name}_per_step": float(per_step.max(initial=0.0)),
+    }
 
 
 def cmd_verify(args) -> int:

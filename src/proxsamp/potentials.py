@@ -240,14 +240,17 @@ def make_power_norm(dim: int, alpha: float, c: float = 1.0) -> Potential:
     a = float(alpha)
     cc = float(c)
 
+    # math.sqrt(x @ x) is np.linalg.norm(x) to the bit, at less call overhead
     def value(x):
-        return cc / (a + 1.0) * float(np.linalg.norm(x)) ** (a + 1.0)
+        x = np.asarray(x, dtype=float)
+        return cc / (a + 1.0) * math.sqrt(x @ x) ** (a + 1.0)
 
     def subgrad(x):
-        r = float(np.linalg.norm(x))
+        x = np.asarray(x, dtype=float)
+        r = math.sqrt(x @ x)
         if r == 0.0:
             return np.zeros(dim)
-        return cc * r ** (a - 1.0) * np.asarray(x, dtype=float)
+        return cc * r ** (a - 1.0) * x
 
     if a == 1.0:
 

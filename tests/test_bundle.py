@@ -5,6 +5,7 @@ import pytest
 
 from proxsamp import (
     BundleLimitError,
+    ChainConfig,
     CuttingPlane,
     DualSolverError,
     ProxObjective,
@@ -16,7 +17,9 @@ from proxsamp import (
     iteration_bound_semismooth,
     make_gaussian,
     make_l1,
+    make_power_norm,
     prox_bundle,
+    run_chain,
     select_params_semismooth,
     solve_model_subproblem,
 )
@@ -108,8 +111,12 @@ class TestModelSubproblem:
             CuttingPlane(np.zeros(2), rng.uniform(-1.0, 1.0), rng.standard_normal(2))
             for _ in range(8)
         ]
+        # near[:2] has w* clipped at 1 and (near[0], far) at 0 in the
+        # two-plane closed form
+        far = plane_at(pot, [-1.5, 1.5])
         cases = [(0.5, near), (0.5, near[:1] * 3 + near), (0.5, [flat, flat])]
         cases += [(0.5, [flat] + near), (5.0, spread), (0.5, spread)]
+        cases += [(0.5, near[:2]), (0.5, [near[0], far])]
         g = np.linspace(-2, 2, 801)
         box = np.stack(np.meshgrid(g, g), axis=-1)
         h = np.linspace(-1e-3, 1e-3, 101)
@@ -161,6 +168,91 @@ class TestModelSubproblem:
             h1 = offset + np.sum((u - x) ** 2, axis=1) / (2.0 * obj.eta_mu)
             assert np.all(h1 <= model + quad + 1e-12)
         assert worst_gap > 0.3
+
+
+# Fixed seed table of two-plane model QPs: (kind, d, seed).  The offsets
+# put the unclipped dual maximizer at w = 0.35 ("interior"), -0.5 ("clip0")
+# or 1.5 ("clip1"); "same" and "zero" have identical slopes, "near" slopes
+# 1e-7 apart with independent offsets (w* far outside [0, 1]) and
+# "near-interior" slopes 1e-7 apart with w = 0.35.
+TWO_PLANE_KINDS = ["interior", "clip0", "clip1", "same", "zero", "near", "near-interior"]
+TWO_PLANE_CASES = [
+    (kind, d, 100 * d + i) for i, kind in enumerate(TWO_PLANE_KINDS) for d in (1, 5, 20)
+]
+
+
+def two_plane_instance(kind, d, seed):
+    rng = np.random.default_rng(seed)
+    obj = make_obj(make_l1(d, 1.0), 0.0, np.zeros(d), rng.uniform(0.05, 2.0), rng.standard_normal(d) * 2.0)
+    s1 = rng.standard_normal(d)
+    b1, b2 = rng.standard_normal(2)
+    if kind in ("interior", "clip0", "clip1"):
+        s2 = rng.standard_normal(d)
+    elif kind == "same":
+        s2 = s1.copy()
+    elif kind == "zero":
+        s1, s2 = np.zeros(d), np.zeros(d)
+    else:
+        s2 = s1 + 1e-7 * rng.standard_normal(d) / np.sqrt(d)
+    w = {"interior": 0.35, "clip0": -0.5, "clip1": 1.5, "near-interior": 0.35}.get(kind)
+    if w is not None:
+        ds, curv = s2 - s1, obj.eta_mu
+        b2 = b1 + w * curv * float(ds @ ds) - float(ds @ (obj.quad_center - curv * s1))
+    planes = [CuttingPlane(np.zeros(d), b1, s1), CuttingPlane(np.zeros(d), b2, s2)]
+    return planes, obj
+
+
+def exact_two_plane(planes, obj):
+    """The two-plane model minimizer in rational arithmetic, rounded once."""
+    from fractions import Fraction
+
+    s1, s2 = ([Fraction(v) for v in p.slope] for p in planes)
+    b1, b2 = (Fraction(p.offset) for p in planes)
+    c = [Fraction(v) for v in obj.quad_center]
+    curv = Fraction(obj.eta_mu)
+    ds = [q - p for p, q in zip(s1, s2)]
+    den = curv * sum(v * v for v in ds)
+    if den == 0:
+        w = Fraction(int(b2 > b1))
+    else:
+        num = b2 - b1 + sum(v * (ci - curv * si) for v, ci, si in zip(ds, c, s1))
+        w = min(max(num / den, Fraction(0)), Fraction(1))
+    return np.array([float(ci - curv * (si + w * v)) for ci, si, v in zip(c, s1, ds)])
+
+
+class TestTwoPlaneClosedForm:
+    @pytest.mark.parametrize("kind,d,seed", TWO_PLANE_CASES)
+    def test_matches_active_set_and_exact(self, kind, d, seed):
+        planes, obj = two_plane_instance(kind, d, seed)
+        x, val, qp_gap = solve_model_subproblem(planes, obj)
+        S = np.stack([p.slope for p in planes])
+        b = np.array([p.offset for p in planes])
+        u, gap, _ = _active_set_dual(S, b, obj.quad_center, obj.eta_mu, 1e-10, 100)
+        size = np.abs(u).max()
+        assert np.abs(x - exact_two_plane(planes, obj)).max() <= 1e-12 * size
+        # on near-parallel slopes with w* inside (0, 1) the active set's x is
+        # off along the direction in which the model objective is flat, so
+        # there only the model values agree
+        if kind != "near-interior":
+            assert np.abs(x - u).max() <= 1e-12 * size
+        assert val == pytest.approx(model_value(planes, u) + obj.quad_part(u), rel=1e-12)
+        scale = np.abs(b).max() + np.abs(S).max() * (np.abs(x).sum() + np.abs(obj.quad_center).sum())
+        assert 0.0 <= qp_gap <= 1e-12 * scale
+
+    def test_regime_sweeps_stay_in_closed_form(self, monkeypatch):
+        # power_norm at d = 20 runs two bundle iterations per sweep at regime
+        # step sizes; none of its model QPs may reach the active-set solver
+        import proxsamp.bundle as bundle
+
+        def refuse(*args):
+            raise AssertionError("a model QP with at most two planes reached _active_set_dual")
+
+        monkeypatch.setattr(bundle, "_active_set_dual", refuse)
+        pot = make_power_norm(20, 0.5)
+        eta, delta = select_params_semismooth(pot.profile, 20)
+        cfg = ChainConfig(eta=eta, delta=delta, mu=0.0, center_x0=(0.0,) * 20, n_iters=200, seed=7)
+        trace = run_chain(pot, cfg, x_init=np.linspace(-1.0, 1.0, 20))
+        assert trace.bundle_iters.max() == 2
 
 
 class TestUncheckedPaths:

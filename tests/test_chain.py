@@ -337,13 +337,22 @@ def _trace_digest(trace):
 
 
 class TestSeedReplay:
-    """Chains replay bit for bit: the exact-mode pins were recorded before
-    the sweep was streamlined (unchecked inner evaluations, one value query
-    per point, the one-plane closed form), and the bundle-mode pins with the
-    dual-certificate envelope (manifest ``envelope`` "dual-certificate;v2"),
-    so any change to the RNG call order or to a floating-point expression
-    on the sampling path shows here.  The digests cover iterates, aux,
-    rejections, bundle_iters and subgrad_calls."""
+    """Chains replay bit for bit, so any change to the RNG call order or to
+    a floating-point expression on the sampling path shows here.  When each
+    pin was recorded:
+
+    - exact mode (``test_gaussian_exact_regularized``, the "gaussian" sweep
+      digest): before the sweep was streamlined (unchecked inner
+      evaluations, one value query per point, the one-plane closed form);
+    - l1 in bundle mode (``test_l1_bundle_regularized``, the "l1" sweep
+      digest), one-plane steps only: with the dual-certificate envelope
+      (manifest ``envelope`` "dual-certificate;v2");
+    - power_norm in bundle mode (``test_power_norm_bundle_d20``, the
+      "power_norm" sweep digest), two planes per sweep: with the two-plane
+      closed form of the model QP, which moved the last bits of x_model.
+
+    The digests cover iterates, aux, rejections, bundle_iters and
+    subgrad_calls."""
 
     def test_l1_bundle_regularized(self):
         pot = make_l1(1, 1.0)
@@ -369,18 +378,18 @@ class TestSeedReplay:
         trace = run_chain(pot, cfg, x_init=np.linspace(-1.0, 1.0, 20))
         expected = [
             "0x1.1c2a17998ee48p-10", "-0x1.41c5f8eed0142p-1", "-0x1.38c5ce03c0a5dp+0",
-            "-0x1.ef40795b92568p-2", "-0x1.83b9740ea47b5p-3", "-0x1.829b602ce5912p-2",
-            "0x1.ca6a2d14bb310p-1", "-0x1.c61b792c2425cp-5", "-0x1.8b66ec6d49540p-4",
-            "-0x1.4720bd4c2ac92p-2", "-0x1.e57afa026ca4cp-4", "0x1.067014c805210p-2",
-            "0x1.ed7adf506ca8dp-2", "-0x1.d9f2bcb7ab09ep-2", "0x1.47c9c845d040fp-3",
-            "0x1.ea003a903237bp-1", "0x1.c28a0c0699400p-3", "0x1.d4c7b7fbcb9e5p-1",
-            "0x1.ccfcd759d658ap-1", "0x1.b1fb73fc76d39p-1",
+            "-0x1.ef40795b9256ap-2", "-0x1.83b9740ea47b9p-3", "-0x1.829b602ce5912p-2",
+            "0x1.ca6a2d14bb30ep-1", "-0x1.c61b792c2425cp-5", "-0x1.8b66ec6d49540p-4",
+            "-0x1.4720bd4c2ac92p-2", "-0x1.e57afa026ca48p-4", "0x1.067014c805210p-2",
+            "0x1.ed7adf506ca8dp-2", "-0x1.d9f2bcb7ab09ep-2", "0x1.47c9c845d0411p-3",
+            "0x1.ea003a903237bp-1", "0x1.c28a0c0699400p-3", "0x1.d4c7b7fbcb9e2p-1",
+            "0x1.ccfcd759d658ap-1", "0x1.b1fb73fc76d3ap-1",
         ]
         assert trace.final.tolist() == [float.fromhex(h) for h in expected]
         assert trace.rejections.tolist() == [0, 1, 0, 0, 0, 0]
         assert trace.bundle_iters.tolist() == [2] * 6
         assert trace.subgrad_calls.tolist() == [2] * 6
-        assert _trace_digest(trace) == "4b8eb64fb8ac46f250b6c44a487edd9f21d367cef2de3fbe63e3a00054634fdb"
+        assert _trace_digest(trace) == "a125685d15138e8da72bda12b5ebfd98922a7f763fef7ebbf58f43092b056646"
 
     def test_gaussian_exact_regularized(self):
         pot = make_gaussian(3, (1.0, 2.0, 4.0))
@@ -395,7 +404,7 @@ class TestSeedReplay:
 
     SWEEP_DIGESTS = {
         "l1": "9f97e51f32424eb991925b1d61e7300775a069bdeaaf702751c24167831ac2ef",
-        "power_norm": "3a76957f831bb94bc1c83102d8976f838725fec794318edd279519e0b58b156e",
+        "power_norm": "e4037ee127274201d90b43e0f5cb57944496d972dda55fccd174d535720a7763",
         "gaussian": "ab811ddd9dd10019e9aa62a118d5830563e2ac91d0c710e28d6bb0d6c093dce9",
     }
 

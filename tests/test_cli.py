@@ -163,15 +163,18 @@ class TestSample:
         summary = json.loads((out_dir / "summary.json").read_text(), parse_constant=reject)
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["envelope"] == ENVELOPE_VERSION
-        counts = []
+        # per chain and step: proposals, bundle iterations, subgradient calls
+        per_chain = []
         for i in range(3):
             rows = (out_dir / f"chain_{i:03d}.csv").read_text().splitlines()[2:]
-            counts.append([int(r.split(",")[-3]) + 1 for r in rows])
-        flat = np.concatenate(counts)
-        assert summary["mean_proposals_per_step"] == pytest.approx(flat.mean())
-        assert summary["p50_proposals_per_step"] == np.percentile(flat, 50)
-        assert summary["p99_proposals_per_step"] == np.percentile(flat, 99)
-        assert summary["max_proposals_per_step"] == flat.max()
+            per_chain.append(np.array([[int(v) for v in r.split(",")[-3:]] for r in rows]) + [1, 0, 0])
+        per_step = np.concatenate(per_chain)
+        assert summary["mean_proposals_per_step"] == pytest.approx(per_step[:, 0].mean())
+        for col, name in enumerate(["proposals", "bundle_iters", "subgrad_calls"]):
+            values = per_step[:, col]
+            assert summary[f"p50_{name}_per_step"] == np.percentile(values, 50)
+            assert summary[f"p99_{name}_per_step"] == np.percentile(values, 99)
+            assert summary[f"max_{name}_per_step"] == values.max()
         # the bound at the resolved parameters: l1, semi-smooth, bundle mode
         pot = make_l1(1, 1.0)
         eta, delta = select_params_semismooth(pot.profile, 1)
@@ -179,7 +182,7 @@ class TestSample:
         bound = rejection_bound(RgoConfig(eta=eta, delta=delta, mode="bundle"), pot.profile, 1, mu=mu)
         assert summary["rejection_bound"] == bound.value == 2.0 * math.exp(1.0)
         assert summary["rejection_bound_condition_ok"] is True
-        means = [float(np.mean(c)) for c in counts]
+        means = [float(np.mean(c[:, 0])) for c in per_chain]
         assert summary["chain_mean_proposals_per_step"] == pytest.approx(means)
         assert summary["chain_mean_under_bound"] == [m <= bound.value for m in means]
 
