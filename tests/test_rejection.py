@@ -45,6 +45,18 @@ class TestEnvelopes:
         assert xstar[0] == pytest.approx(1.5)
         assert obj.value(xstar) == pytest.approx(1.75)
 
+    def test_bundle_mode_offset_shifted_by_delta(self):
+        # the prox point 1.5 has g = 1.75; the bundle-mode offset lies below
+        # best_value by less than delta, and rgo_sample uses exactly it
+        obj = l1_objective(0.5, 2.0)
+        res = prox_bundle(obj, delta=0.1)
+        assert res.best_value == pytest.approx(1.75)
+        offset = envelope_offset(res.best_value, res.model_value, res.qp_gap, 0.1)
+        assert res.best_value - 0.1 <= offset <= res.model_value <= res.best_value
+        cfg = RgoConfig(eta=0.5, delta=0.1, mode="bundle")
+        s = rgo_sample(obj, cfg, np.random.default_rng(14), warn_on_step=False)
+        assert s.envelope_offset == offset
+
     def test_upper_envelope_value_at_center(self):
         obj = l1_objective(0.5, 2.0)
         h2 = upper_envelope(np.array([1.5]), 1.75, obj.target.base.profile, obj)
@@ -74,25 +86,20 @@ class TestEnvelopes:
 class TestEnvelopeOffset:
     def test_rgo_sample_uses_dual_certificate_offset(self):
         # l1 at d=1: one-plane bundle steps, whose model value is the exact
-        # minimum of the model objective, well above best_value - delta.
-        # Inputs (eta, delta, mu, y): the A1 parameters at four y, and
-        # eta = 0.5, delta = 0.1 at y = 2, where the prox point 1.5 has g = 1.75
+        # minimum of the model objective, well above best_value - delta
         eta, delta = select_params_semismooth(make_l1(1, 1.0).profile, 1)
-        cases = [(eta, delta, 0.05, y) for y in (-2.0, -0.1, 0.05, 1.3)]
-        cases.append((0.5, 0.1, 0.0, 2.0))
+        cfg = RgoConfig(eta=eta, delta=delta, mode="bundle")
         rng = np.random.default_rng(12)
-        for eta, delta, mu, y in cases:
-            obj = l1_objective(eta, y, mu=mu)
+        for y in (-2.0, -0.1, 0.05, 1.3):
+            obj = l1_objective(eta, y, mu=0.05)
             res = prox_bundle(obj, delta)
             offset = envelope_offset(res.best_value, res.model_value, res.qp_gap, delta)
             assert res.iterations == 1 and res.qp_gap == 0.0
             assert offset > res.best_value - delta
             assert offset <= res.model_value
-            cfg = RgoConfig(eta=eta, delta=delta, mode="bundle")
             s = rgo_sample(obj, cfg, rng, warn_on_step=False)
             assert s.envelope_offset == offset
             assert s.center.tolist() == res.x_model.tolist()
-        assert res.best_value == pytest.approx(1.75)
 
     def test_elementwise_on_arrays(self):
         best = np.array([1.0, 5.0, -2.0])
