@@ -76,6 +76,12 @@ class BundleLimitError(SamplerError):
         self.result = result
 
 
+def eta_mu_of(eta: float, mu: float, l_one: float = 0.0) -> float:
+    """eta/(1 + eta mu + eta l_one): with l_one = 0 the curvature step of
+    g_y^eta, otherwise that step with the smooth coefficient folded in."""
+    return eta / (1.0 + eta * mu + eta * l_one)
+
+
 class _computed_once:
     """A method read as an attribute, computed on the first read only.
 
@@ -118,7 +124,7 @@ class ProxObjective:
         if self.eta <= 0:
             raise ValueError("eta must be > 0")
         object.__setattr__(self, "y", _check_point(self.y, self.target.base.dim))
-        object.__setattr__(self, "eta_mu", self.eta / (1.0 + self.eta * self.target.mu))
+        object.__setattr__(self, "eta_mu", eta_mu_of(self.eta, self.target.mu))
 
     @_computed_once
     def quad_center(self) -> Array:
@@ -130,8 +136,7 @@ class ProxObjective:
 
     @property
     def eta_mu_l1(self) -> float:
-        l_one = self.target.base.profile.l_one
-        return self.eta / (1.0 + self.eta * self.target.mu + self.eta * l_one)
+        return eta_mu_of(self.eta, self.target.mu, self.target.base.profile.l_one)
 
     def value(self, x: Array) -> float:
         return self._value(_check_point(x, self.dim))
@@ -336,15 +341,16 @@ def _active_set_dual(S, b, c, curv, gap_tol, max_pivots):
     pivots = 0
 
     def certificate():
+        # the gap max(vals) - <w, vals> as a sum of nonnegative terms, so
+        # rounding cannot make it negative
         u = c - curv * (S.T @ w)
         vals = b + S @ u
-        return u, vals, float(w @ vals)
+        return u, vals, float(w @ vals), float(w @ (vals.max() - vals))
 
     def count_pivot():
         nonlocal pivots
         if pivots >= max_pivots:
-            u, vals, lam = certificate()
-            gap = float(vals.max()) - lam
+            u, _, _, gap = certificate()
             raise DualSolverError(
                 f"model QP hit the cap of {max_pivots} pivots with {n} "
                 f"planes at gap {gap:.3e} > {gap_tol:.3e}",
@@ -381,8 +387,7 @@ def _active_set_dual(S, b, c, curv, gap_tol, max_pivots):
             w[support] = v
         else:
             w[p0] = 1.0
-        u, vals, lam = certificate()
-        gap = float(vals.max()) - lam
+        u, vals, lam, gap = certificate()
         if gap <= gap_tol or len(support) == n:
             return u, gap, pivots
         outside = np.ones(n, dtype=bool)

@@ -6,7 +6,8 @@ selection follows the regime rules: the semi-smooth step size
 eta = (alpha+1)^(2/(alpha+1)) / ((2 l_alpha)^(2/(alpha+1)) d) with gap
 tolerance delta^((1-alpha)/(alpha+1)) = 1/d, the composite rule taking the
 minimum with 1/(l_one d), and the regularization weight
-mu = eps / (sqrt(2) (sqrt(M4) + ||x0 - x_min||^2)).
+mu = eps / (sqrt(2) (sqrt(M4) + ||x0 - x_min||^2)), with M4 analytic or, in
+d <= 2, from quadrature: no parameter rule runs a chain.
 """
 
 from __future__ import annotations
@@ -119,17 +120,9 @@ class MomentEstimate:
             raise ValueError("m4 must be >= 0")
 
 
-def moment_estimate(
-    potential: Potential,
-    center_x0: Optional[Array] = None,
-    pilot_iters: int = 2000,
-    pilot_seed: int = 0,
-) -> MomentEstimate:
-    """M4 and x_min: analytic metadata, quadrature (d <= 2), or a pilot chain.
-
-    The pilot-chain fallback is a documented heuristic: a moderate run with
-    mu = 0 at the regime step size, fourth moments from its second half.
-    """
+def moment_estimate(potential: Potential, center_x0: Optional[Array] = None) -> MomentEstimate:
+    """M4 and x_min from analytic metadata, else quadrature (d <= 2), else a
+    ``ValueError`` asking for mu to be set explicitly.  Runs no chain."""
     x_min = potential.x_min
     if center_x0 is None:
         center_x0 = x_min if x_min is not None else np.zeros(potential.dim)
@@ -155,22 +148,10 @@ def moment_estimate(
         m4 = truth.moment(lambda x: float(np.sum((x - xm) ** 2)) ** 2)
         source = "quadrature"
     else:
-        if x_min is None:
-            raise ValueError("pilot estimation needs a known minimizer")
-        eta, delta = select_params_any(potential.profile, potential.dim)
-        cfg = ChainConfig(
-            eta=eta,
-            delta=delta,
-            mu=0.0,
-            center_x0=tuple(center_x0),
-            n_iters=pilot_iters,
-            seed=pilot_seed,
-            regime="semi-smooth" if potential.profile.l_one == 0 else "composite",
+        raise ValueError(
+            f"no analytic fourth moment for {potential.name!r} at d={potential.dim}, "
+            "and quadrature covers d <= 2 only: set mu explicitly"
         )
-        trace = run_chain(potential, cfg, x_init=x_min)
-        tail = trace.iterates[pilot_iters // 2 :]
-        m4 = float(np.mean(np.sum((tail - x_min) ** 2, axis=1) ** 2))
-        source = "pilot-chain"
     dist_sq = float(np.sum((center_x0 - x_min) ** 2))
     return MomentEstimate(
         m4=float(m4), x_min=tuple(float(v) for v in x_min), dist_sq=dist_sq, source=source

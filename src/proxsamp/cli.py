@@ -22,7 +22,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .bundle import SamplerError
+from .bundle import SamplerError, eta_mu_of
 from .chain import (
     CSV_COLUMNS_VERSION,
     ChainConfig,
@@ -109,7 +109,10 @@ def resolve_parameters(cfg: dict) -> dict:
     moments = None
     if mu is None:
         if kind == "semi-smooth" and rsec.get("eps"):
-            moments = moment_estimate(pot)
+            try:
+                moments = moment_estimate(pot)
+            except ValueError as e:
+                raise UsageError(f"{e} (regime.mu in the config)") from e
             mu = select_mu(float(rsec["eps"]), moments)
         else:
             mu = 0.0  # convex / strongly-convex regimes run unregularized
@@ -143,8 +146,6 @@ def cmd_params(args) -> int:
     pot = p["potential"]
     profile = pot.profile
     eta, delta, mu = p["eta"], p["delta"], p["mu"]
-    eta_mu = eta / (1.0 + eta * mu)
-    eta_mu_l1 = eta / (1.0 + eta * mu + eta * profile.l_one)
     bound = _rejection_bound(p, cfg["regime"]["rgo_mode"])
     rows = [
         ("target", f"{pot.name} (d={pot.dim})"),
@@ -154,8 +155,8 @@ def cmd_params(args) -> int:
         ("eta", f"{eta:.10g}"),
         ("delta", f"{delta:.10g}"),
         ("mu", f"{mu:.10g}"),
-        ("eta_mu", f"{eta_mu:.10g}"),
-        ("eta_mu_l1", f"{eta_mu_l1:.10g}"),
+        ("eta_mu", f"{eta_mu_of(eta, mu):.10g}"),
+        ("eta_mu_l1", f"{eta_mu_of(eta, mu, profile.l_one):.10g}"),
         ("rejection_bound", f"{bound.value:.6g} (condition_ok={bound.condition_ok})"),
         ("n_iters (theorem)",
          f"{p['budget'].n_iters} [{p['budget'].rule}: init={p['budget'].initial_divergence:.6g},"

@@ -9,7 +9,7 @@ consume.  ``validate_profile`` checks a declared profile empirically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -54,9 +54,9 @@ class Potential:
     ``value`` and ``subgrad`` accept a shape-(dim,) array; ``subgrad`` may
     return any subdifferential element.  ``prox``, when present, maps
     (eta, y) to argmin f + ||.-y||^2/(2 eta).  ``sample_exact`` draws n iid
-    points from exp(-f) (only the Gaussian family provides it).
+    points from exp(-f) (the l1 and Gaussian families provide it).
     ``fourth_moment`` is the analytic value of E||x - x_min||^4 under
-    exp(-f) when known.
+    exp(-f) when known; every ``default_zoo`` target has one.
     """
 
     dim: int
@@ -323,8 +323,7 @@ def make_quad_plus_l1(
         y = np.asarray(y, dtype=float)
         return np.sign(y) * np.maximum(np.abs(y) - eta * s, 0.0) / (1.0 + eta * q)
 
-    # E||x||^4 = sum m4_i + (sum m2_i)^2 - sum m2_i^2 for the independent
-    # coordinates, each with density prop. to exp(-q_i x^2/2 - s|x|)
+    # independent coordinates, each with density prop. to exp(-q_i x^2/2 - s|x|)
     moments = {qi: _quad_l1_moments(qi, s) for qi in set(q.tolist())}
     m2, m4 = np.array([moments[qi] for qi in q.tolist()]).T
     return Potential(
@@ -340,9 +339,14 @@ def make_quad_plus_l1(
         prox=prox,
         x_min=np.zeros(dim),
         f_min=0.0,
-        fourth_moment=float(m4.sum() + m2.sum() ** 2 - (m2 * m2).sum()),
+        fourth_moment=_independent_fourth_moment(m2, m4),
         name="quad_plus_l1",
     )
+
+
+def _independent_fourth_moment(m2: Array, m4: Array) -> float:
+    """E||x||^4 of independent coordinates with E x_i^2 = m2_i, E x_i^4 = m4_i."""
+    return float(m4.sum() + m2.sum() ** 2 - (m2 * m2).sum())
 
 
 def _quad_l1_moments(q: float, s: float) -> tuple:
@@ -444,22 +448,54 @@ def make_by_name(name: str, dim: int, params: dict) -> Potential:
             dim, params.get("q_diagonal", [1.0] * dim), params.get("scale", 1.0)
         )
     if name == "hinge_sum":
-        return make_hinge_sum(dim, [tuple(pl) for pl in params["planes"]])
+        planes = [tuple(pl) for pl in params["planes"]]
+        pot = make_hinge_sum(dim, planes)
+        if not positively_spans(np.array([a for a, _ in planes], dtype=float).reshape(-1, dim)):
+            raise ValueError(
+                "hinge_sum normals must positively span R^d: otherwise f is 0 or "
+                "bounded on a ray and exp(-f) is not a probability density"
+            )
+        return pot
     if name == "gaussian":
         return make_gaussian(dim, params.get("diag_precision", [1.0] * dim))
     raise ValueError(f"unknown potential {name!r}; available: {', '.join(ZOO_NAMES)}")
 
 
+def positively_spans(normals: Array) -> bool:
+    """True when nonnegative combinations of the rows of ``normals`` cover R^d.
+
+    A hinge sum sum_i max(0, <a_i, x> + b_i) grows linearly along every ray,
+    so that exp(-f) has finite mass, exactly when its normals a_i do.  That
+    holds iff rank(A) = d and some lambda >= 1 has A' lambda = 0, which
+    ``scipy.optimize.linprog`` decides as a feasibility problem.
+    """
+    from scipy.optimize import linprog
+
+    n, d = normals.shape
+    if np.linalg.matrix_rank(normals) < d:
+        return False
+    res = linprog(np.zeros(n), A_eq=normals.T, b_eq=np.zeros(d), bounds=(1.0, None))
+    return res.status == 0
+
+
+def _zoo_hinge_planes(dim: int) -> list:
+    """(+-q_i, -1/2) for the rows q_i of a fixed orthogonal matrix: f = sum_i
+    max(0, |<q_i, x>| - 1/2), whose coordinates along the q_i are iid with
+    density exp(-max(0, |t| - 1/2))/3."""
+    # QR with the signs of R's diagonal fixed, so Q is a function of the draw
+    q, r = np.linalg.qr(np.random.default_rng(1234).standard_normal((dim, dim)))
+    q *= np.sign(np.diag(r))
+    return [(sign * qi, -0.5) for qi in q for sign in (1.0, -1.0)]
+
+
 def default_zoo(dim: int) -> dict:
     """Canonical instances of every zoo family, used by verification suites."""
-    rng = np.random.default_rng(1234)
-    normals = rng.standard_normal((3, dim))
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    planes = [(normals[i], -0.5) for i in range(3)]
+    # per coordinate E t^2 = 79/36 and E t^4 = 6331/240
+    hinge_m4 = _independent_fourth_moment(np.full(dim, 79 / 36), np.full(dim, 6331 / 240))
     return {
         "l1": make_l1(dim, 1.0),
         "power_norm": make_power_norm(dim, 0.5, 1.0),
         "quad_plus_l1": make_quad_plus_l1(dim, np.ones(dim), 1.0),
-        "hinge_sum": make_hinge_sum(dim, planes),
+        "hinge_sum": replace(make_hinge_sum(dim, _zoo_hinge_planes(dim)), fourth_moment=hinge_m4),
         "gaussian": make_gaussian(dim, np.ones(dim)),
     }

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .bundle import BundleResult, ProxObjective, SamplerError, prox_bundle
+from .bundle import BundleResult, ProxObjective, SamplerError, eta_mu_of, prox_bundle
 from .potentials import Array, SmoothnessProfile, _check_point
 
 # the bundle-mode lower envelope, recorded in manifest.json: a change to it
@@ -193,8 +193,7 @@ def rejection_bound(
     exp(1/2 + delta).  Composite: 2 exp(1/2 + delta).  Returns +inf with a
     cleared flag when the step-size condition fails.
     """
-    eta_mu = cfg.eta / (1.0 + cfg.eta * mu)
-    ok = step_condition_ok(eta_mu, profile, dim)
+    ok = step_condition_ok(eta_mu_of(cfg.eta, mu), profile, dim)
     delta_eff = cfg.delta if cfg.mode == "bundle" else 0.0
     if profile.l_one > 0 and profile.l_alpha > 0:
         bound = 2.0 * math.exp(0.5 + delta_eff)

@@ -169,6 +169,19 @@ class TestModelSubproblem:
             assert np.all(h1 <= model + quad + 1e-12)
         assert worst_gap > 0.3
 
+    # seeds 0-3 cover n = 3..6 planes at d = 2 and 5; on the other five the
+    # gap written as max(v) - <w, v> rounds to -2.8e-17 .. -8.9e-16
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 1376, 1864, 2332, 2349, 2927])
+    def test_active_set_gap_nonnegative(self, seed):
+        rng = np.random.default_rng(seed)
+        d, n = (2, 5)[seed % 2], 3 + seed % 4
+        S = rng.standard_normal((n, d))
+        b = rng.standard_normal(n)
+        c = 2.0 * rng.standard_normal(d)
+        curv = rng.uniform(0.05, 2.0)
+        _, gap, _ = _active_set_dual(S, b, c, curv, 1e-10, 10_000)
+        assert 0.0 <= gap <= 1e-10
+
 
 # Fixed seed table of two-plane model QPs: (kind, d, seed).  The offsets
 # put the unclipped dual maximizer at w = 0.35 ("interior"), -0.5 ("clip0")

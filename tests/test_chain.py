@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -10,6 +11,7 @@ from proxsamp import (
     MomentEstimate,
     RegularizedTarget,
     RgoConfig,
+    default_zoo,
     gibbs_step,
     make_gaussian,
     make_l1,
@@ -24,7 +26,8 @@ from proxsamp import (
     select_params_semismooth,
 )
 from proxsamp.metrics import ks_critical
-from proxsamp.potentials import SmoothnessProfile
+from proxsamp.potentials import ZOO_NAMES, SmoothnessProfile
+from proxsamp.quadrature import QuadratureDensity
 
 
 class TestParamSelection:
@@ -108,6 +111,33 @@ class TestSelectMu:
         assert est.source == "quadrature"
         # E||x||^4 for two iid Laplace(1) coords: 2*24 + 2*(2*2) = 56
         assert est.m4 == pytest.approx(56.0, rel=1e-3)
+
+    def test_moment_estimate_above_d2_without_m4_asks_for_mu(self):
+        pot = dataclasses.replace(make_l1(3, 1.0), fourth_moment=None)
+        with pytest.raises(ValueError, match="set mu explicitly"):
+            moment_estimate(pot)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 20])
+    def test_zoo_moments_are_analytic(self, d, monkeypatch):
+        import proxsamp.chain as chain
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("parameter selection ran a chain")
+
+        monkeypatch.setattr(chain, "run_chain", refuse)
+        zoo = default_zoo(d)
+        assert tuple(zoo) == ZOO_NAMES
+        for name, pot in zoo.items():
+            assert pot.fourth_moment is not None and pot.x_min is not None, name
+            assert moment_estimate(pot).source == "analytic", name
+
+    def test_hinge_fourth_moment_matches_quadrature_d2(self):
+        # E||x||^4 = sum m4 + (sum m2)^2 - sum m2^2 against the 2-D lattice
+        pot = default_zoo(2)["hinge_sum"]
+        truth = QuadratureDensity.build(pot.value, 2)
+        assert pot.fourth_moment == pytest.approx(
+            truth.moment(lambda x: float(x @ x) ** 2), rel=1e-4
+        )
 
     @pytest.mark.parametrize("d", [1, 5, 20])
     def test_power_norm_alpha_one_is_gaussian(self, d):

@@ -75,6 +75,39 @@ class TestParams:
         code, _, err = run_cli(["params", "--config", str(cfg)], capsys)
         assert code == 2
 
+    @staticmethod
+    def hinge_config(tmp_path, normals, **regime):
+        planes = [[list(a), -0.5] for a in normals]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "target": {"name": "hinge_sum", "dim": len(normals[0]), "params": {"planes": planes}},
+                    "regime": {"kind": "semi-smooth", "eps": 0.2, **regime},
+                }
+            )
+        )
+        return cfg
+
+    def test_hinge_without_analytic_m4_needs_mu(self, capsys, tmp_path):
+        # the proper d = 5 set of planes (+-e_i, -1/2) has no analytic M4 and
+        # quadrature stops at d = 2, so mu must come from the config
+        normals = [s * e for e in np.eye(5) for s in (1.0, -1.0)]
+        code, _, err = run_cli(["params", "--config", str(self.hinge_config(tmp_path, normals))], capsys)
+        assert code == 2
+        assert "regime.mu" in err
+        cfg = self.hinge_config(tmp_path, normals, mu=0.01)
+        code, out, _ = run_cli(["params", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert "hinge_sum (d=5)" in out and "rejection_bound" in out
+
+    def test_improper_hinge_set_is_usage_error(self, capsys, tmp_path):
+        # f = 0 on the quadrant x <= 1/2: exp(-f) has infinite mass
+        cfg = self.hinge_config(tmp_path, np.eye(2))
+        code, _, err = run_cli(["params", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "positively span" in err
+
 
 class TestSample:
     def make_config(self, tmp_path, n_chains=3, workers=1):

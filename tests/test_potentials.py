@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from proxsamp import (
     make_quad_plus_l1,
     validate_profile,
 )
-from proxsamp.potentials import make_by_name, sample_in_ball
+from proxsamp.potentials import _zoo_hinge_planes, make_by_name, positively_spans, sample_in_ball
 
 
 def grid_prox_oracle(f, eta, y, lo=-4.0, hi=4.0, step=1e-4):
@@ -141,6 +143,40 @@ class TestZoo:
         np.testing.assert_allclose(f.subgrad(np.array([2.0, 0.0])), [1.0, 1.0])
         # both hinges inactive
         assert f.value(np.array([0.0, -1.0])) == pytest.approx(0.0)
+
+    def test_zoo_hinge_coordinate_moments(self):
+        # each rotated coordinate has density exp(-max(0, |t| - 1/2)) / 3
+        from scipy.integrate import quad
+
+        pieces = ((-math.inf, -0.5), (-0.5, 0.5), (0.5, math.inf))
+
+        def integral(k):
+            return sum(quad(lambda t: t**k * math.exp(-max(0.0, abs(t) - 0.5)), a, b)[0] for a, b in pieces)
+
+        assert integral(0) == pytest.approx(3.0, rel=1e-10)
+        assert integral(2) / 3.0 == pytest.approx(79 / 36, rel=1e-10)
+        assert integral(4) / 3.0 == pytest.approx(6331 / 240, rel=1e-10)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 20])
+    def test_zoo_hinge_planes(self, d):
+        # (+-q_i, -1/2) with orthonormal q_i: f = sum_i max(0, |<q_i, x>| - 1/2)
+        normals = np.stack([a for a, _ in _zoo_hinge_planes(d)])
+        q = normals[::2]
+        np.testing.assert_allclose(normals[1::2], -q)
+        np.testing.assert_allclose(q @ q.T, np.eye(d), atol=1e-12)
+        assert positively_spans(normals)
+        x = np.random.default_rng(d).standard_normal(d) * 2.0
+        expected = np.maximum(np.abs(q @ x) - 0.5, 0.0).sum()
+        assert default_zoo(d)["hinge_sum"].value(x) == pytest.approx(expected, rel=1e-12)
+
+    def test_make_by_name_rejects_improper_hinge_sets(self):
+        quadrant = [((1.0, 0.0), -0.5), ((0.0, 1.0), -0.5)]
+        line = [((1.0, 0.0), -0.5), ((-1.0, 0.0), -0.5)]  # a zero sum, but rank 1
+        for planes in (quadrant, line):
+            with pytest.raises(ValueError, match="positively span"):
+                make_by_name("hinge_sum", 2, {"planes": planes})
+        pot = make_by_name("hinge_sum", 2, {"planes": quadrant + [((-1.0, -1.0), -0.5)]})
+        assert pot.value(np.array([1.0, -1.0])) == pytest.approx(0.5)
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
