@@ -15,6 +15,7 @@ import numpy as np
 
 from .potentials import Array, RegularizedTarget, _check_point
 
+# pivots one model QP solve may take before ``DualSolverError``
 DUAL_MAX_ITER = 10_000
 
 
@@ -226,7 +227,6 @@ def solve_model_subproblem(
     planes: Sequence[CuttingPlane],
     obj: ProxObjective,
     gap_tol: float = 1e-10,
-    max_dual_iter: int = DUAL_MAX_ITER,
 ):
     """Exact minimizer of model + (mu/2)||.-x0||^2 + ||.-y||^2/(2 eta).
 
@@ -245,7 +245,7 @@ def solve_model_subproblem(
     is the certificate at (1 - w*, w*), which is 0 up to rounding.  Three
     or more planes go to the finite active-set method ``_active_set_dual``,
     which stops once gap <= gap_tol or no plane outside the support can
-    raise the dual beyond rounding; ``max_dual_iter`` caps its pivots, and
+    raise the dual beyond rounding; ``DUAL_MAX_ITER`` caps its pivots, and
     reaching the cap raises ``DualSolverError``.
 
     Returns (x, value, gap) where value is the model objective at x and gap
@@ -265,7 +265,7 @@ def solve_model_subproblem(
         return x, top + obj.quad_part(x), gap
     S = np.stack([p.slope for p in planes])
     b = np.array([p.offset for p in planes])
-    x, gap, _ = _active_set_dual(S, b, c, eta_mu, gap_tol, max_dual_iter)
+    x, gap, _ = _active_set_dual(S, b, c, eta_mu, gap_tol, DUAL_MAX_ITER)
     value = model_value(planes, x) + obj.quad_part(x)
     return x, value, gap
 
@@ -486,7 +486,6 @@ def prox_bundle(
     obj: ProxObjective,
     delta: float,
     max_iter: int = 1000,
-    max_dual_iter: int = DUAL_MAX_ITER,
     record: bool = False,
 ) -> BundleResult:
     """Run the cutting-plane loop until the gap certificate drops below delta.
@@ -496,7 +495,8 @@ def prox_bundle(
     iterate (ties keep the older one, for determinism), and cuts a new plane
     at the model minimizer.  On return, g_y^eta(x_best) - min g_y^eta <=
     gap <= delta.  Termination comparisons are absolute, no rescaling.
-    ``record`` keeps the per-iteration trajectory in the result.
+    Reaching ``max_iter`` above delta raises ``BundleLimitError`` with the
+    result, one oracle call per iteration.  ``record`` keeps the per-iteration trajectory in the result.
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
@@ -518,9 +518,7 @@ def prox_bundle(
     step_norms = []
     model_points = []
     for j in range(1, max_iter + 1):
-        x_j, m_j, qp_gap = solve_model_subproblem(
-            planes, obj, gap_tol=gap_tol, max_dual_iter=max_dual_iter
-        )
+        x_j, m_j, qp_gap = solve_model_subproblem(planes, obj, gap_tol=gap_tol)
         f_j = f.value(x_j)
         val_j = obj._value(x_j, f_j)
         if val_j < best_value:
@@ -533,7 +531,7 @@ def prox_bundle(
             step_norms.append(math.sqrt(step @ step))
             model_points.append(x_j)
             x_prev = x_j
-        if t_j <= delta:
+        if t_j <= delta or j == max_iter:
             break
         planes.append(CuttingPlane(anchor=x_j, f_val=f_j, slope=f.subgrad(x_j)))
         oracle_calls += 1

@@ -13,15 +13,16 @@ d <= 2, from quadrature: no parameter rule runs a chain.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .bundle import ProxObjective, SamplerError
+from .bundle import ProxObjective, SamplerError, eta_mu_of
 from .potentials import Array, Potential, RegularizedTarget, SmoothnessProfile
 from .quadrature import QuadratureDensity
-from .rejection import RgoConfig, rgo_sample, semismooth_step
+from .rejection import RgoConfig, StepSizeWarning, rgo_sample, semismooth_step, step_condition_ok
 
 REGIMES = ("semi-smooth", "composite", "strongly-convex")
 
@@ -30,7 +31,7 @@ CSV_COLUMNS_VERSION = "k,x...,rejections,bundle_iters,subgrad_calls;v1"
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Everything needed to reproduce a chain bit-for-bit."""
+    """Everything needed to reproduce a chain bit-for-bit; checked on construction."""
 
     eta: float
     delta: float
@@ -43,8 +44,6 @@ class ChainConfig:
     rgo_mode: str = "bundle"
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be > 0")
         if self.n_iters < 0:
             raise ValueError("n_iters must be >= 0")
         if self.mu < 0:
@@ -52,6 +51,7 @@ class ChainConfig:
         if self.regime not in REGIMES:
             raise ValueError(f"regime must be one of {REGIMES}")
         object.__setattr__(self, "center_x0", tuple(float(v) for v in self.center_x0))
+        self.rgo()  # checks eta, delta and rgo_mode
 
     def rgo(self) -> RgoConfig:
         return RgoConfig(eta=self.eta, delta=self.delta, mode=self.rgo_mode)
@@ -195,13 +195,6 @@ def select_params_composite(profile: SmoothnessProfile, d: int) -> tuple:
     return min(guards), _gap_tolerance(profile.alpha, d)
 
 
-def select_params_any(profile: SmoothnessProfile, d: int) -> tuple:
-    """Composite rule when a smooth part is declared, else semi-smooth."""
-    if profile.l_one > 0:
-        return select_params_composite(profile, d)
-    return select_params_semismooth(profile, d)
-
-
 def select_mu(eps: float, moments: MomentEstimate) -> float:
     """Regularization weight keeping the regularized target within eps/2 TV."""
     if eps <= 0:
@@ -272,17 +265,16 @@ def gibbs_step(
     target: RegularizedTarget,
     rgo_cfg: RgoConfig,
     rng: np.random.Generator,
-    warn_on_step: bool = True,
 ):
     """One sweep: y_k = x_k + sqrt(eta) z, then x_{k+1} from the inner oracle.
 
     A ``SamplerError`` of the inner oracle is re-raised with y added to its
-    ``context``.
+    ``context``.  No step-size check: ``run_chain`` makes it once per chain.
     """
     y = x_k + math.sqrt(rgo_cfg.eta) * rng.standard_normal(x_k.shape[0])
     obj = ProxObjective(target=target, eta=rgo_cfg.eta, y=y)
     try:
-        sample = rgo_sample(obj, rgo_cfg, rng, warn_on_step=warn_on_step)
+        sample = rgo_sample(obj, rgo_cfg, rng)
     except SamplerError as err:
         err.context["y"] = y.tolist()
         raise
@@ -293,13 +285,14 @@ def run_chain(
     potential: Potential,
     config: ChainConfig,
     x_init: Optional[Array] = None,
-    warn_on_step: bool = True,
 ) -> ChainTrace:
     """Run K sweeps from x_init (default: the regularization center).
 
-    A ``SamplerError`` (a bundle, model QP or rejection cap reached) is
-    re-raised with the step and the seed added to its ``context``, next to
-    the auxiliary point y that ``gibbs_step`` adds.
+    One ``StepSizeWarning`` before the first sweep when eta_mu = eta/(1 +
+    eta mu) fails the profile's step-size guard.  A ``SamplerError`` (a
+    bundle, model QP or rejection cap reached) is re-raised with the step
+    and the seed added to its ``context``, next to the auxiliary point y
+    that ``gibbs_step`` adds.
     """
     d = potential.dim
     center = np.asarray(config.center_x0, dtype=float)
@@ -311,11 +304,19 @@ def run_chain(
     if x.shape != (d,):
         raise ValueError(f"x_init has shape {x.shape}, expected ({d},)")
 
+    k = config.n_iters
+    if k > 0 and not step_condition_ok(eta_mu_of(config.eta, config.mu), potential.profile, d):
+        warnings.warn(
+            "step size exceeds the guard for this profile; sampling is still "
+            "exact but the expected-proposal bound is void",
+            StepSizeWarning,
+            stacklevel=2,
+        )
+
     target = RegularizedTarget(potential, config.mu, center)
     rgo_cfg = config.rgo()
     rng = np.random.default_rng(config.seed)
 
-    k = config.n_iters
     iterates = np.empty((k + 1, d))
     aux = np.empty((k, d))
     rejections = np.zeros(k, dtype=np.int64)
@@ -324,11 +325,10 @@ def run_chain(
     iterates[0] = x
     for i in range(k):
         try:
-            y, sample = gibbs_step(x, target, rgo_cfg, rng, warn_on_step=warn_on_step)
+            y, sample = gibbs_step(x, target, rgo_cfg, rng)
         except SamplerError as err:
             err.context.update(step=i, seed=config.seed)
             raise
-        warn_on_step = False  # one warning per chain is enough
         x = sample.x
         aux[i] = y
         iterates[i + 1] = x
@@ -355,5 +355,5 @@ def run_chains(
     out = []
     for i in range(n_chains):
         cfg_i = replace(config, seed=config.seed + i)
-        out.append(run_chain(potential, cfg_i, x_init=x_init, warn_on_step=(i == 0)))
+        out.append(run_chain(potential, cfg_i, x_init=x_init))
     return out

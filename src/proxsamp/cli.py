@@ -1,15 +1,17 @@
 """Batch front-end: parameter tables, chain runs, verification suites.
 
-Exit codes: 0 success, 1 check failure, 2 usage error, 3 sampler failure
-(a bundle, model QP or rejection cap reached; the message names the chain,
-the step, the seed and y).  Configuration is a single JSON file with flat
-sections (target, regime, chain, output); every default is printable via
-``proxsamp config --defaults``.
+Exit codes: 0 success, 1 check failure, 2 usage error (checked before any
+chain runs, naming the config key), 3 sampler failure (a bundle, model QP
+or rejection cap reached; the message names the chain, the step, the seed
+and y).  Configuration is a single JSON file with flat sections (target,
+regime, chain, output); every default is printable via ``proxsamp config
+--defaults``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import json
 import math
@@ -35,7 +37,7 @@ from .chain import (
     select_params_semismooth,
 )
 from .potentials import ZOO_NAMES, make_by_name
-from .rejection import ENVELOPE_VERSION, RejectionBound, RgoConfig, rejection_bound
+from .rejection import ENVELOPE_VERSION, RgoConfig, rejection_bound
 from .verify import SUITES, run_suites
 
 DEFAULT_CONFIG = {
@@ -65,6 +67,17 @@ class UsageError(Exception):
     pass
 
 
+@contextlib.contextmanager
+def _config_keys(keys: str):
+    """Report a bad config value, rejected inside the block, as a
+    ``UsageError`` naming the config ``keys`` it came from."""
+    try:
+        yield
+    except (ValueError, TypeError, KeyError) as e:
+        what = f"missing {e}" if isinstance(e, KeyError) else e
+        raise UsageError(f"{what} ({keys} in the config)") from e
+
+
 def load_config(path=None) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
@@ -86,42 +99,47 @@ def load_config(path=None) -> dict:
 
 
 def resolve_parameters(cfg: dict) -> dict:
-    """Fill eta/delta/mu from the regime rules where not overridden."""
+    """Fill eta/delta/mu from the regime rules where not overridden.  The
+    budget contracts at mu, plus ``lambda_strong`` under strongly-convex."""
     tsec = cfg["target"]
     rsec = cfg["regime"]
-    pot = make_by_name(tsec["name"], int(tsec["dim"]), tsec.get("params") or {})
+    with _config_keys("target"):
+        pot = make_by_name(tsec["name"], int(tsec["dim"]), tsec.get("params") or {})
     d = pot.dim
     kind = rsec["kind"]
     profile = pot.profile
 
-    if kind == "semi-smooth":
-        eta, delta = select_params_semismooth(profile, d)
-    elif kind in ("composite", "strongly-convex"):
-        eta, delta = select_params_composite(profile, d)
-    else:
-        raise UsageError(f"unknown regime kind {rsec['kind']!r}")
-    if rsec.get("eta") is not None:
-        eta = float(rsec["eta"])
-    if rsec.get("delta") is not None:
-        delta = float(rsec["delta"])
+    with _config_keys("regime.kind"):
+        if kind == "semi-smooth":
+            eta, delta = select_params_semismooth(profile, d)
+        elif kind in ("composite", "strongly-convex"):
+            eta, delta = select_params_composite(profile, d)
+        else:
+            raise ValueError(f"unknown regime kind {kind!r}")
+        if kind == "strongly-convex" and profile.lambda_strong <= 0:
+            raise ValueError(f"{pot.name} declares no strong convexity (lambda_strong = 0)")
+    with _config_keys("regime.eta, regime.delta, regime.rgo_mode"):
+        if rsec.get("eta") is not None:
+            eta = float(rsec["eta"])
+        if rsec.get("delta") is not None:
+            delta = float(rsec["delta"])
+        rgo = RgoConfig(eta=eta, delta=delta, mode=rsec["rgo_mode"])
 
     mu = rsec.get("mu")
     moments = None
-    if mu is None:
-        if kind == "semi-smooth" and rsec.get("eps"):
-            try:
+    with _config_keys("regime.mu, regime.eps"):
+        if mu is None:
+            if kind == "semi-smooth" and rsec.get("eps"):
                 moments = moment_estimate(pot)
-            except ValueError as e:
-                raise UsageError(f"{e} (regime.mu in the config)") from e
-            mu = select_mu(float(rsec["eps"]), moments)
-        else:
-            mu = 0.0  # convex / strongly-convex regimes run unregularized
-    mu = float(mu)
-
-    eps = rsec.get("eps")
-    budget: IterationBudget = select_num_iters(
-        eps=float(eps) if eps else 0.2, eta=eta, mu=mu, d=d
-    )
+                mu = select_mu(float(rsec["eps"]), moments)
+            else:
+                mu = 0.0  # convex / strongly-convex regimes run unregularized
+        mu = float(mu)
+        eps = rsec.get("eps")
+        modulus = mu + profile.lambda_strong if kind == "strongly-convex" else mu
+        budget: IterationBudget = select_num_iters(
+            eps=float(eps) if eps else 0.2, eta=eta, mu=modulus, d=d
+        )
     return {
         "potential": pot,
         "eta": eta,
@@ -130,14 +148,8 @@ def resolve_parameters(cfg: dict) -> dict:
         "moments": moments,
         "budget": budget,
         "kind": kind,
+        "bound": rejection_bound(rgo, profile, d, mu=mu),
     }
-
-
-def _rejection_bound(p: dict, mode: str) -> RejectionBound:
-    """Expected-proposal bound at the resolved parameters."""
-    delta = p["delta"] if mode == "bundle" else 0.0
-    cfg = RgoConfig(eta=p["eta"], delta=delta, mode=mode)
-    return rejection_bound(cfg, p["potential"].profile, p["potential"].dim, mu=p["mu"])
 
 
 def cmd_params(args) -> int:
@@ -145,8 +157,7 @@ def cmd_params(args) -> int:
     p = resolve_parameters(cfg)
     pot = p["potential"]
     profile = pot.profile
-    eta, delta, mu = p["eta"], p["delta"], p["mu"]
-    bound = _rejection_bound(p, cfg["regime"]["rgo_mode"])
+    eta, delta, mu, bound = p["eta"], p["delta"], p["mu"], p["bound"]
     rows = [
         ("target", f"{pot.name} (d={pot.dim})"),
         ("regime", p["kind"]),
@@ -175,13 +186,10 @@ def cmd_params(args) -> int:
 
 
 def _run_one_chain(payload):
-    index, name, dim, params, cfg_dict, x_init = payload
+    index, name, dim, params, chain_cfg, x_init = payload
     pot = make_by_name(name, dim, params)
-    cfg = ChainConfig(**cfg_dict)
     try:
-        return run_chain(
-            pot, cfg, x_init=np.asarray(x_init, dtype=float) if x_init else None
-        )
+        return run_chain(pot, chain_cfg, x_init=x_init)
     except SamplerError as err:
         err.context["chain"] = index
         raise
@@ -195,34 +203,36 @@ def cmd_sample(args) -> int:
     p = resolve_parameters(cfg)
     pot = p["potential"]
     csec = cfg["chain"]
-    n_chains = int(csec["n_chains"])
-    workers = max(1, int(csec["workers"]))
     center = pot.x_min if pot.x_min is not None else np.zeros(pot.dim)
 
-    base = dict(
-        eta=p["eta"],
-        delta=p["delta"],
-        mu=p["mu"],
-        center_x0=tuple(float(v) for v in center),
-        n_iters=int(csec["n_iters"]),
-        seed=0,
-        target_eps=cfg["regime"].get("eps"),
-        regime=p["kind"],
-        rgo_mode=cfg["regime"]["rgo_mode"],
-    )
-    payloads = []
-    for i in range(n_chains):
-        cfg_i = dict(base, seed=int(csec["seed"]) + i)
-        payloads.append(
-            (
-                i,
-                cfg["target"]["name"],
-                pot.dim,
-                cfg["target"].get("params") or {},
-                cfg_i,
-                csec.get("x_init"),
+    # every chain's config and start are checked before any chain runs
+    with _config_keys("chain, regime.mu"):
+        n_chains = int(csec["n_chains"])
+        workers = max(1, int(csec["workers"]))
+        chain_cfgs = [
+            ChainConfig(
+                eta=p["eta"],
+                delta=p["delta"],
+                mu=p["mu"],
+                center_x0=tuple(float(v) for v in center),
+                n_iters=int(csec["n_iters"]),
+                seed=int(csec["seed"]) + i,
+                target_eps=cfg["regime"].get("eps"),
+                regime=p["kind"],
+                rgo_mode=cfg["regime"]["rgo_mode"],
             )
-        )
+            for i in range(n_chains)
+        ]
+    x_init = csec.get("x_init")
+    if x_init is not None:
+        with _config_keys("chain.x_init"):
+            x_init = np.atleast_1d(np.asarray(x_init, dtype=float))
+            if x_init.shape != (pot.dim,):
+                raise ValueError(f"x_init has shape {x_init.shape}, expected ({pot.dim},)")
+    payloads = [
+        (i, cfg["target"]["name"], pot.dim, cfg["target"].get("params") or {}, chain_cfg, x_init)
+        for i, chain_cfg in enumerate(chain_cfgs)
+    ]
 
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
@@ -263,7 +273,7 @@ def cmd_sample(args) -> int:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
     steps = max(1, n_chains * int(csec["n_iters"]))
-    bound = _rejection_bound(p, cfg["regime"]["rgo_mode"])
+    bound = p["bound"]
     chain_means = [t.totals()["proposals_per_step"] for t in traces]
     summary = {
         "n_chains": n_chains,
@@ -370,7 +380,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, ValueError) as e:
+    except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except SamplerError as e:

@@ -492,10 +492,13 @@ def default_zoo(dim: int) -> dict:
     """Canonical instances of every zoo family, used by verification suites."""
     # per coordinate E t^2 = 79/36 and E t^4 = 6331/240
     hinge_m4 = _independent_fourth_moment(np.full(dim, 79 / 36), np.full(dim, 6331 / 240))
+    # subgradients sum_i s_i q_i, s_i in {-1, 0, 1}: diameter 2 sqrt(d), not 2d
+    hinge_profile = SmoothnessProfile(alpha=0.0, l_alpha=2.0 * math.sqrt(dim))
+    hinge = make_hinge_sum(dim, _zoo_hinge_planes(dim))
     return {
         "l1": make_l1(dim, 1.0),
         "power_norm": make_power_norm(dim, 0.5, 1.0),
         "quad_plus_l1": make_quad_plus_l1(dim, np.ones(dim), 1.0),
-        "hinge_sum": replace(make_hinge_sum(dim, _zoo_hinge_planes(dim)), fourth_moment=hinge_m4),
+        "hinge_sum": replace(hinge, profile=hinge_profile, fourth_moment=hinge_m4),
         "gaussian": make_gaussian(dim, np.ones(dim)),
     }

@@ -10,7 +10,6 @@ size; the step-size conditions only control the expected proposal count.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -26,10 +25,13 @@ ENVELOPE_VERSION = "dual-certificate;v2"
 # relative rounding margin of the dual-certificate offset
 _OFFSET_MARGIN = 64.0 * float(np.finfo(float).eps)
 
+# proposals per ``rgo_sample`` call: a guard against a wrong profile, not a bound
+MAX_REJECTIONS = 10**6
+
 
 class StepSizeWarning(UserWarning):
-    """Step size violates the regime's guard: sampling stays exact but the
-    expected-proposal bound no longer applies."""
+    """Step size violates the regime's guard (checked once per chain by
+    ``run_chain``): sampling stays exact but the proposal bound is void."""
 
 
 class EnvelopeViolationError(RuntimeError):
@@ -49,14 +51,12 @@ class RejectionLimitError(SamplerError):
 class RgoConfig:
     """How to draw from exp(-g_y^eta): exact prox center or bundle center.
 
-    ``delta`` is the bundle gap tolerance (unused in exact mode);
-    ``max_rejections`` is a guard, not a bound.
+    ``delta`` is the bundle gap tolerance (unused in exact mode).
     """
 
     eta: float
     delta: float = 0.0
     mode: str = "exact"
-    max_rejections: int = 10**6
 
     def __post_init__(self):
         if self.eta <= 0:
@@ -65,8 +65,6 @@ class RgoConfig:
             raise ValueError(f"mode must be 'exact' or 'bundle', got {self.mode!r}")
         if self.mode == "bundle" and self.delta <= 0:
             raise ValueError("bundle mode needs delta > 0")
-        if self.max_rejections < 1:
-            raise ValueError("max_rejections must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,8 +208,6 @@ def rgo_sample(
     obj: ProxObjective,
     cfg: RgoConfig,
     rng: np.random.Generator,
-    bundle_max_iter: int = 1000,
-    warn_on_step: bool = True,
 ) -> RgoSample:
     """Draw one point distributed exactly as exp(-g_y^eta).
 
@@ -220,21 +216,13 @@ def rgo_sample(
     ``lower_envelope``.  In bundle mode the cutting-plane run happens once
     per call; its model minimizer is the center and ``envelope_offset`` the
     offset for all proposals.  The points this builds itself (center and
-    proposals) are evaluated without shape checks.
+    proposals) are evaluated without shape checks.  ``MAX_REJECTIONS`` caps
+    the proposals; the step-size guard is checked by ``run_chain``.
     """
     if not math.isclose(cfg.eta, obj.eta, rel_tol=1e-12):
         raise ValueError(f"config eta {cfg.eta} differs from objective eta {obj.eta}")
-    profile = obj.target.base.profile
     eta_mu = obj.eta_mu
     dim = obj.dim
-
-    if warn_on_step and not step_condition_ok(eta_mu, profile, dim):
-        warnings.warn(
-            "step size exceeds the guard for this profile; sampling is still "
-            "exact but the expected-proposal bound is void",
-            StepSizeWarning,
-            stacklevel=2,
-        )
 
     bundle_iters = 0
     subgrad_calls = 0
@@ -242,7 +230,7 @@ def rgo_sample(
         center = prox_of_target(obj)
         offset = obj._value(center)
     else:
-        res: BundleResult = prox_bundle(obj, cfg.delta, max_iter=bundle_max_iter)
+        res: BundleResult = prox_bundle(obj, cfg.delta)
         center = res.x_model
         offset = float(
             envelope_offset(res.best_value, res.model_value, res.qp_gap, res.delta)
@@ -252,7 +240,7 @@ def rgo_sample(
 
     h1 = lower_envelope(center, offset, eta_mu)
     scale = math.sqrt(eta_mu)
-    for k in range(cfg.max_rejections):
+    for k in range(MAX_REJECTIONS):
         x = center + scale * rng.standard_normal(dim)
         log_ratio = h1(x) - obj._value(x)
         if log_ratio > 1e-9:
@@ -271,8 +259,8 @@ def rgo_sample(
                 subgrad_calls=subgrad_calls,
             )
     raise RejectionLimitError(
-        f"no acceptance within {cfg.max_rejections} proposals "
+        f"no acceptance within {MAX_REJECTIONS} proposals "
         "(step-size condition likely violated or profile wrong)",
-        cfg.max_rejections,
+        MAX_REJECTIONS,
         center,
     )

@@ -21,7 +21,7 @@ from .bundle import (
     iteration_bound_semismooth,
     prox_bundle,
 )
-from .chain import ChainConfig, gibbs_step, run_chain, select_params_any
+from .chain import ChainConfig, gibbs_step, run_chain, select_params_composite
 from .checks import CheckReport, check_prop_key_bound, default_prop_key_grid, sandwich_suite, wendel_check
 from .metrics import ks_1samp, ks_critical, tv_hist, tv_noise_floor
 from .potentials import Potential, RegularizedTarget, default_zoo, make_gaussian, make_l1
@@ -54,7 +54,7 @@ def suite_sandwich(probes_per_case: int = 400, n_draws: int = 10, dim: int = 2) 
     worst_upper = math.inf
     n_total = 0
     for name, pot in default_zoo(dim).items():
-        eta, delta = select_params_any(pot.profile, dim)
+        eta, delta = select_params_composite(pot.profile, dim)
         for mu in (0.0, 0.1):
             target = RegularizedTarget(pot, mu, np.zeros(dim))
             for _ in range(n_draws):
@@ -88,14 +88,14 @@ def proposal_case(name: str, pot: Potential, mode: str, n_calls: int, seed: int)
     is within 3 standard errors above the bound.
     """
     dim = pot.dim
-    eta, delta = select_params_any(pot.profile, dim)
+    eta, delta = select_params_composite(pot.profile, dim)
     cfg = RgoConfig(eta=eta, delta=delta if mode == "bundle" else 0.0, mode=mode)
     target = RegularizedTarget(pot, 0.0, np.zeros(dim))
     rng = np.random.default_rng(seed)
     counts = np.empty(n_calls)
     for i in range(n_calls):
         obj = ProxObjective(target, eta, 2.0 * rng.standard_normal(dim))
-        counts[i] = rgo_sample(obj, cfg, rng, warn_on_step=False).rejections + 1
+        counts[i] = rgo_sample(obj, cfg, rng).rejections + 1
     bound = rejection_bound(cfg, pot.profile, dim)
     mean = float(counts.mean())
     slack = 3.0 * float(counts.std()) / math.sqrt(n_calls)
@@ -133,7 +133,7 @@ def bundle_case(name: str, pot: Potential, n_draws: int, seed: int) -> dict:
     """
     dim = pot.dim
     prof = pot.profile
-    eta, delta = select_params_any(prof, dim)
+    eta, delta = select_params_composite(prof, dim)
     target = RegularizedTarget(pot, 0.0, np.zeros(dim))
     rng = np.random.default_rng(seed)
     iters = np.empty(n_draws, dtype=int)
@@ -188,7 +188,7 @@ def suite_stationarity(n: int = 20000) -> CheckReport:
     crit = ks_critical(0.01, n)
     entries = []
     for name, pot, seed, cdf in cases:
-        eta, _ = select_params_any(pot.profile, 1)
+        eta, _ = select_params_composite(pot.profile, 1)
         target = RegularizedTarget(pot, 0.0, np.zeros(1))
         cfg = RgoConfig(eta=eta, mode="exact")
         rng = np.random.default_rng(seed)
@@ -198,7 +198,7 @@ def suite_stationarity(n: int = 20000) -> CheckReport:
             x0 = _laplace_quantile(rng.random(n))[:, None]
         out = np.empty(n)
         for i in range(n):
-            _, s = gibbs_step(x0[i], target, cfg, rng, warn_on_step=False)
+            _, s = gibbs_step(x0[i], target, cfg, rng)
             out[i] = s.x[0]
         entries.append({"target": name, "ks": ks_1samp(out, cdf), "critical_1pct": crit})
     passed = all(e["ks"] < crit for e in entries)
@@ -218,7 +218,7 @@ def suite_tv_decay(n_chains: int = 2000, k_max: int = 40, stride: int = 10) -> C
     """Histogram TV to the target every `stride` steps is non-increasing up
     to 3 sigma of the estimator on a strongly convex 1D target."""
     pot = make_gaussian(1, (1.0,))
-    eta, _ = select_params_any(pot.profile, 1)
+    eta, _ = select_params_composite(pot.profile, 1)
     truth = QuadratureDensity.build(pot.value, 1)
     cfg_proto = dict(eta=eta, delta=1.0, mu=0.0, center_x0=(0.0,), regime="composite", rgo_mode="exact")
 
@@ -226,7 +226,7 @@ def suite_tv_decay(n_chains: int = 2000, k_max: int = 40, stride: int = 10) -> C
     snaps = {k: np.empty(n_chains) for k in checkpoints}
     for c in range(n_chains):
         cfg = ChainConfig(n_iters=k_max, seed=5000 + c, **cfg_proto)
-        trace = run_chain(pot, cfg, x_init=np.array([3.0]), warn_on_step=False)
+        trace = run_chain(pot, cfg, x_init=np.array([3.0]))
         for k in checkpoints:
             snaps[k][c] = trace.iterates[k, 0]
     bins = 20

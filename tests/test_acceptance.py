@@ -28,10 +28,10 @@ from proxsamp import (
     run_chain,
     select_mu,
     select_num_iters,
+    select_params_composite,
     select_params_semismooth,
     tv_hist,
 )
-from proxsamp.chain import select_params_any
 from proxsamp.metrics import ks_2samp, ks_critical, two_sample_n_eff
 from proxsamp.verify import (
     bundle_case,
@@ -124,7 +124,7 @@ def test_a3_smooth_and_composite_bounds():
     ok = True
     for i, d in enumerate((1, 5, 20)):
         gauss = make_gaussian(d, np.ones(d))
-        eta, _ = select_params_any(gauss.profile, d)
+        eta, _ = select_params_composite(gauss.profile, d)
         assert eta <= 1.0 / (gauss.profile.l_one * d) + 1e-15
         for mode in ("exact", "bundle"):
             c = proposal_case("gaussian", gauss, mode, 10_000, seed=300 + i)
@@ -133,7 +133,7 @@ def test_a3_smooth_and_composite_bounds():
 
         comp = default_zoo(d)["quad_plus_l1"]
         c = proposal_case("quad_plus_l1", comp, "bundle", 10_000, seed=350 + i)
-        _, delta = select_params_any(comp.profile, d)
+        _, delta = select_params_composite(comp.profile, d)
         assert c["bound"] == pytest.approx(2.0 * math.exp(0.5 + delta), rel=1e-12)
         ok = ok and c["passed"]
         details.append(f"quad+l1 d={d}: {_proposals(c)}")

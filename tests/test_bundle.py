@@ -86,13 +86,16 @@ class TestModelSubproblem:
         assert val == pytest.approx(total.min(), abs=1e-8)
         assert abs(x[0] - u[np.argmin(total)]) < 1e-4
 
-    def test_dual_iteration_cap_raises(self):
+    def test_dual_iteration_cap_raises(self, monkeypatch):
+        import proxsamp.bundle as bundle
+
+        monkeypatch.setattr(bundle, "DUAL_MAX_ITER", 1)
         pot = make_l1(3, 1.0)
         rng = np.random.default_rng(0)
         obj = make_obj(pot, 0.0, np.zeros(3), 1.0, rng.standard_normal(3))
         planes = [plane_at(pot, rng.standard_normal(3)) for _ in range(6)]
         with pytest.raises(DualSolverError) as exc:
-            solve_model_subproblem(planes, obj, gap_tol=0.0, max_dual_iter=1)
+            solve_model_subproblem(planes, obj, gap_tol=0.0)
         assert exc.value.x.shape == (3,)
         assert exc.value.max_pivots == 1
         assert exc.value.n_planes == 6
@@ -362,12 +365,21 @@ class TestProxBundle:
         assert res.iterations <= max(1, j0)
 
     def test_max_iter_error_carries_result(self):
-        pot = make_l1(2, 1.0)
+        # the last iteration cuts no plane it cannot use
+        l1 = make_l1(2, 1.0)
+        queries = []
+
+        def subgrad(x):
+            queries.append(x)
+            return l1.subgrad(x)
+
+        pot = dataclasses.replace(l1, subgrad=subgrad)
         obj = make_obj(pot, 0.0, np.zeros(2), 5.0, [3.0, -2.0])
         with pytest.raises(BundleLimitError) as exc:
             prox_bundle(obj, delta=1e-12, max_iter=2)
         res = exc.value.result
-        assert res.iterations == 2
+        assert res.oracle_calls == res.iterations == 2
+        assert len(queries) == 2
         assert res.gap > 1e-12
 
     def test_invalid_delta(self):
@@ -459,9 +471,9 @@ class TestBundleInvariants:
         dim = 4
         pot = default_zoo(dim)[name]
         prof = pot.profile
-        from proxsamp.chain import select_params_any
+        from proxsamp.chain import select_params_composite
 
-        eta, delta = select_params_any(prof, dim)
+        eta, delta = select_params_composite(prof, dim)
         rng = np.random.default_rng(17)
         for _ in range(40):
             y = rng.standard_normal(dim) * 2.0

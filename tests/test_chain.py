@@ -25,7 +25,7 @@ from proxsamp import (
     select_params_composite,
     select_params_semismooth,
 )
-from proxsamp.metrics import ks_critical
+from proxsamp.metrics import ks_1samp, ks_critical
 from proxsamp.potentials import ZOO_NAMES, SmoothnessProfile
 from proxsamp.quadrature import QuadratureDensity
 
@@ -235,12 +235,12 @@ class TestChain:
         x0 = np.array([1.3])
         out = np.empty(n)
         for i in range(n):
-            _, s = gibbs_step(x0, target, cfg, rng, warn_on_step=False)
+            _, s = gibbs_step(x0, target, cfg, rng)
             out[i] = s.x[0]
         from scipy.special import ndtr
 
         z = (out - 1.3) / math.sqrt(2 * eta)
-        stat = _ks(z, ndtr)
+        stat = ks_1samp(z, ndtr)
         assert stat < ks_critical(0.01, n)
 
     def test_gaussian_stationary_one_step(self):
@@ -253,11 +253,11 @@ class TestChain:
         x0 = pot.sample_exact(rng, n)
         out = np.empty(n)
         for i in range(n):
-            _, s = gibbs_step(x0[i], target, cfg, rng, warn_on_step=False)
+            _, s = gibbs_step(x0[i], target, cfg, rng)
             out[i] = s.x[0]
         from scipy.special import ndtr
 
-        stat = _ks(out, ndtr)
+        stat = ks_1samp(out, ndtr)
         assert stat < ks_critical(0.01, n)
 
     def test_gaussian_stationary_after_fifty_steps(self):
@@ -271,12 +271,12 @@ class TestChain:
         for i in range(n):
             x = x0[i]
             for _ in range(50):
-                _, s = gibbs_step(x, target, cfg, rng, warn_on_step=False)
+                _, s = gibbs_step(x, target, cfg, rng)
                 x = s.x
             out[i] = x[0]
         from scipy.special import ndtr
 
-        assert _ks(out, ndtr) < ks_critical(0.01, n)
+        assert ks_1samp(out, ndtr) < ks_critical(0.01, n)
 
     def test_trace_totals_and_csv_roundtrip(self, tmp_path):
         pot = make_l1(1, 1.0)
@@ -322,11 +322,11 @@ class TestChain:
         import functools
         import pickle
 
-        import proxsamp.chain as chain
-        from proxsamp import rgo_sample
+        import proxsamp.rejection as rejection
+        from proxsamp import prox_bundle
 
         # one bundle iteration cannot reach this gap tolerance
-        monkeypatch.setattr(chain, "rgo_sample", functools.partial(rgo_sample, bundle_max_iter=1))
+        monkeypatch.setattr(rejection, "prox_bundle", functools.partial(prox_bundle, max_iter=1))
         pot = make_power_norm(5, 0.5)
         eta, _ = select_params_semismooth(pot.profile, 5)
         cfg = ChainConfig(eta=eta, delta=1e-12, mu=0.0, center_x0=(0.0,) * 5, n_iters=3, seed=8)
@@ -349,14 +349,6 @@ class TestChain:
             ChainConfig(eta=1.0, delta=1.0, mu=-0.1, center_x0=(0.0,), n_iters=1, seed=0)
         with pytest.raises(ValueError):
             ChainConfig(eta=1.0, delta=1.0, mu=0.0, center_x0=(0.0,), n_iters=1, seed=0, regime="bad")
-
-
-def _ks(samples, cdf_fn):
-    s = np.sort(samples)
-    n = s.size
-    c = cdf_fn(s)
-    i = np.arange(1, n + 1)
-    return float(max(np.max(i / n - c), np.max(c - (i - 1) / n)))
 
 
 def _trace_digest(trace):
@@ -459,7 +451,7 @@ class TestSeedReplay:
         rng = np.random.default_rng(seed)
         h = hashlib.sha256()
         for _ in range(n):
-            y, s = gibbs_step(x, target, cfg, rng, warn_on_step=False)
+            y, s = gibbs_step(x, target, cfg, rng)
             x = s.x
             vals = np.array([*y, *s.x, *s.center, s.envelope_offset, s.log_accept_ratio], dtype="<f8")
             h.update(vals.tobytes())

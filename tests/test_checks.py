@@ -134,9 +134,9 @@ class TestSandwich:
     def test_zoo_sandwich(self, name):
         pot = default_zoo(2)[name]
         rng = np.random.default_rng(3)
-        from proxsamp.chain import select_params_any
+        from proxsamp.chain import select_params_composite
 
-        eta, delta = select_params_any(pot.profile, 2)
+        eta, delta = select_params_composite(pot.profile, 2)
         for mu in (0.0, 0.2):
             obj = ProxObjective(
                 RegularizedTarget(pot, mu, np.zeros(2)), eta, rng.standard_normal(2)

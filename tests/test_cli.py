@@ -62,6 +62,46 @@ class TestParams:
         assert "mu" in out
         assert "lambda" in out and "2" in out
 
+    @staticmethod
+    def budget_row(out):
+        return next(line for line in out.splitlines() if line.startswith("n_iters (theorem)"))
+
+    def test_strongly_convex_budget_contracts_at_lambda(self, capsys, tmp_path):
+        # gaussian, unit precision, d = 5: eta = 1/(l_one d) = 0.2 under both
+        # kinds; composite bounds KL by d/(K eta), strongly-convex contracts
+        # it by (1 + lambda eta)^2 per step from d down to eps^2/2
+        rows = {}
+        for kind in ("composite", "strongly-convex"):
+            cfg = tmp_path / f"{kind}.json"
+            cfg.write_text(
+                json.dumps(
+                    {
+                        "target": {"name": "gaussian", "dim": 5, "params": {"diag_precision": [1.0] * 5}},
+                        "regime": {"kind": kind, "eps": 0.2},
+                    }
+                )
+            )
+            code, out, _ = run_cli(["params", "--config", str(cfg)], capsys)
+            assert code == 0
+            rows[kind] = self.budget_row(out).split()
+        assert rows["composite"][2:4] == ["125", "[w2-over-k-eta:"]
+        assert rows["strongly-convex"][2:4] == ["16", "[kl-contraction:"]
+        assert 16 == math.ceil(math.log(5 / 0.02) / (2 * math.log(1.2)))
+
+    def test_strongly_convex_needs_lambda(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "target": {"name": "l1", "dim": 1, "params": {"scale": 1.0}},
+                    "regime": {"kind": "strongly-convex"},
+                }
+            )
+        )
+        code, _, err = run_cli(["params", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "lambda_strong" in err and "regime.kind" in err
+
     def test_invalid_target_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"target": {"name": "nope", "dim": 1}}))
@@ -224,24 +264,20 @@ class TestSample:
     def test_sampler_failure_reports_context(self, capsys, tmp_path, monkeypatch, cap):
         import functools
 
-        import proxsamp.chain as chain
+        import proxsamp.bundle as bundle
         import proxsamp.rejection as rejection
 
         if cap == "max_rejections":
             # a step size far above the guard with one proposal allowed
             regime = {"kind": "semi-smooth", "eps": 0.2, "eta": 50.0}
             target = {"name": "l1", "dim": 1, "params": {"scale": 1.0}}
-            monkeypatch.setattr(
-                chain.ChainConfig,
-                "rgo",
-                lambda c: rejection.RgoConfig(eta=c.eta, delta=c.delta, mode=c.rgo_mode, max_rejections=1),
-            )
+            monkeypatch.setattr(rejection, "MAX_REJECTIONS", 1)
             error = "RejectionLimitError"
         else:
             # a gap tolerance that one bundle iteration cannot reach
             regime = {"kind": "semi-smooth", "eps": 0.2, "delta": 1e-12}
             target = {"name": "power_norm", "dim": 5, "params": {"alpha": 0.5}}
-            monkeypatch.setattr(chain, "rgo_sample", functools.partial(rejection.rgo_sample, bundle_max_iter=1))
+            monkeypatch.setattr(rejection, "prox_bundle", functools.partial(bundle.prox_bundle, max_iter=1))
             error = "BundleLimitError"
         cfg = tmp_path / "c.json"
         cfg.write_text(
@@ -252,6 +288,34 @@ class TestSample:
         assert err.startswith(f"error: {error}: ")
         assert "(chain 0, step " in err and ", seed 3, y [" in err
         assert "Traceback" not in err
+
+    def test_wrong_x_init_length_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "target": {"name": "l1", "dim": 2, "params": {"scale": 1.0}},
+                    "regime": {"kind": "semi-smooth", "eps": 0.2},
+                    "chain": {"n_iters": 5, "n_chains": 2, "x_init": [0.0, 1.0, 2.0]},
+                }
+            )
+        )
+        out_dir = tmp_path / "o"
+        code, _, err = run_cli(["sample", "--config", str(cfg), "--out-dir", str(out_dir)], capsys)
+        assert code == 2
+        assert "chain.x_init" in err
+        assert not out_dir.exists()
+
+    def test_value_error_in_a_chain_is_not_a_usage_error(self, tmp_path, monkeypatch):
+        import proxsamp.cli as cli
+
+        def broken(*args, **kwargs):
+            raise ValueError("broken inside the chain")
+
+        monkeypatch.setattr(cli, "run_chain", broken)
+        cfg = self.make_config(tmp_path, n_chains=1)
+        with pytest.raises(ValueError, match="broken inside the chain"):
+            cli.main(["sample", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
 
     def test_env_var_default_dir(self, capsys, tmp_path, monkeypatch):
         cfg = self.make_config(tmp_path, n_chains=1)

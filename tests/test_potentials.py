@@ -169,6 +169,20 @@ class TestZoo:
         expected = np.maximum(np.abs(q @ x) - 0.5, 0.0).sum()
         assert default_zoo(d)["hinge_sum"].value(x) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2, 5, 20])
+    def test_zoo_hinge_profile_is_subgradient_diameter(self, d):
+        # subgradients sum_i s_i q_i, s_i in {-1, 0, 1}: diameter 2 sqrt(d),
+        # reached between +-2 sum_i q_i, where every hinge is active
+        pot = default_zoo(d)["hinge_sum"]
+        assert pot.profile.alpha == 0.0
+        assert pot.profile.l_alpha == 2.0 * math.sqrt(d)
+        q = np.stack([a for a, _ in _zoo_hinge_planes(d)])[::2]
+        x = 2.0 * q.sum(axis=0)
+        spread = np.linalg.norm(pot.subgrad(x) - pot.subgrad(-x))
+        assert spread == pytest.approx(pot.profile.l_alpha, rel=1e-12)
+        rep = validate_profile(pot, 2000, 10.0, np.random.default_rng(d))
+        assert rep.passed, rep
+
     def test_make_by_name_rejects_improper_hinge_sets(self):
         quadrant = [((1.0, 0.0), -0.5), ((0.0, 1.0), -0.5)]
         line = [((1.0, 0.0), -0.5), ((-1.0, 0.0), -0.5)]  # a zero sum, but rank 1

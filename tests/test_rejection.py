@@ -54,7 +54,7 @@ class TestEnvelopes:
         offset = envelope_offset(res.best_value, res.model_value, res.qp_gap, 0.1)
         assert res.best_value - 0.1 <= offset <= res.model_value <= res.best_value
         cfg = RgoConfig(eta=0.5, delta=0.1, mode="bundle")
-        s = rgo_sample(obj, cfg, np.random.default_rng(14), warn_on_step=False)
+        s = rgo_sample(obj, cfg, np.random.default_rng(14))
         assert s.envelope_offset == offset
 
     def test_upper_envelope_value_at_center(self):
@@ -97,7 +97,7 @@ class TestEnvelopeOffset:
             assert res.iterations == 1 and res.qp_gap == 0.0
             assert offset > res.best_value - delta
             assert offset <= res.model_value
-            s = rgo_sample(obj, cfg, rng, warn_on_step=False)
+            s = rgo_sample(obj, cfg, rng)
             assert s.envelope_offset == offset
             assert s.center.tolist() == res.x_model.tolist()
 
@@ -126,7 +126,7 @@ class TestEnvelopeOffset:
         cfg = RgoConfig(eta=eta, delta=delta, mode="bundle")
         rng = np.random.default_rng(13)
         for _ in range(200):
-            s = rgo_sample(obj, cfg, rng, warn_on_step=False)
+            s = rgo_sample(obj, cfg, rng)
             assert s.envelope_offset == res.best_value - delta
             assert s.log_accept_ratio <= 1e-9
 
@@ -215,7 +215,7 @@ class TestRgoSample:
         cfg = RgoConfig(eta=0.25, mode="exact")
         rng = np.random.default_rng(6)
         for _ in range(200):
-            s = rgo_sample(obj, cfg, rng, warn_on_step=False)
+            s = rgo_sample(obj, cfg, rng)
             assert s.log_accept_ratio <= 1e-9
 
     def test_envelope_violation_detected_with_bogus_prox(self):
@@ -232,7 +232,7 @@ class TestRgoSample:
         rng = np.random.default_rng(7)
         with pytest.raises(EnvelopeViolationError):
             for _ in range(200):
-                rgo_sample(obj, cfg, rng, warn_on_step=False)
+                rgo_sample(obj, cfg, rng)
 
     @pytest.mark.parametrize("mu", [0.0, 0.3])
     def test_prox_output_shape_checked(self, mu):
@@ -250,29 +250,51 @@ class TestRgoSample:
         with pytest.raises(ValueError, match="shape"):
             prox_of_target(obj)
         with pytest.raises(ValueError, match="shape"):
-            rgo_sample(obj, RgoConfig(eta=0.1, mode="exact"), np.random.default_rng(0), warn_on_step=False)
+            rgo_sample(obj, RgoConfig(eta=0.1, mode="exact"), np.random.default_rng(0))
 
-    def test_rejection_limit(self):
+    def test_rejection_limit(self, monkeypatch):
+        import proxsamp.rejection as rejection
+
+        monkeypatch.setattr(rejection, "MAX_REJECTIONS", 2)
         obj = l1_objective(50.0, 0.3)
-        cfg = RgoConfig(eta=50.0, mode="exact", max_rejections=2)
+        cfg = RgoConfig(eta=50.0, mode="exact")
         rng = np.random.default_rng(8)
-        with pytest.raises(RejectionLimitError):
-            with pytest.warns(StepSizeWarning):
-                for _ in range(500):
-                    rgo_sample(obj, cfg, rng)
+        with pytest.raises(RejectionLimitError) as exc:
+            for _ in range(500):
+                rgo_sample(obj, cfg, rng)
+        assert exc.value.rejections == 2
+        assert str(exc.value).startswith("no acceptance within 2 proposals")
+        assert exc.value.center.shape == (1,)
 
     def test_step_size_warning_only_when_violated(self):
+        # run_chain checks the guard once per chain, before its first sweep;
+        # the per-sweep layers never warn
         import warnings
 
-        obj = l1_objective(1.0 / 16.0, 0.5)
-        cfg = RgoConfig(eta=1.0 / 16.0, mode="exact")
+        from proxsamp import ChainConfig, gibbs_step, run_chain, run_chains
+
+        pot = make_l1(1, 1.0)
+
+        def count_warnings(fn):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fn()
+            return sum(issubclass(w.category, StepSizeWarning) for w in caught)
+
+        def config(eta):
+            return ChainConfig(eta=eta, delta=1.0, mu=0.0, center_x0=(0.0,), n_iters=5, seed=9, rgo_mode="exact")
+
+        assert count_warnings(lambda: run_chain(pot, config(1.0 / 16.0))) == 0
+        assert count_warnings(lambda: run_chain(pot, config(1.0))) == 1
+        assert count_warnings(lambda: run_chains(pot, config(1.0), 3)) == 3
+        # at eta = 1 the guard 1/16 fails: sweeps and oracle calls stay silent
+        target = RegularizedTarget(pot, 0.0, np.zeros(1))
+        cfg = RgoConfig(eta=1.0, mode="exact")
         rng = np.random.default_rng(9)
         with warnings.catch_warnings():
             warnings.simplefilter("error", StepSizeWarning)
-            rgo_sample(obj, cfg, rng)  # compliant: must not warn
-        obj_bad = l1_objective(1.0, 0.5)
-        with pytest.warns(StepSizeWarning):
-            rgo_sample(obj_bad, RgoConfig(eta=1.0, mode="exact"), rng)
+            rgo_sample(l1_objective(1.0, 0.5), cfg, rng)
+            gibbs_step(np.array([0.5]), target, cfg, rng)
 
     def test_eta_mismatch_rejected(self):
         obj = l1_objective(0.5, 1.0)
