@@ -29,7 +29,6 @@ from .chain import (
     gibbs_step,
     moment_estimate,
     run_chain,
-    run_chains,
     select_mu,
     select_num_iters,
     select_params_composite,
@@ -45,14 +44,10 @@ from .checks import (
     wendel_check,
 )
 from .metrics import (
-    DistanceReport,
-    distance_report,
     ks_1samp,
     ks_2samp,
     ks_critical,
-    ks_pvalue,
     tv_hist,
-    w2_quantile,
 )
 from .potentials import (
     Potential,
@@ -68,7 +63,7 @@ from .potentials import (
     make_quad_plus_l1,
     validate_profile,
 )
-from .quadrature import QuadratureDensity, kl_divergence, modified_gaussian_integral, modified_gaussian_ratio
+from .quadrature import QuadratureDensity, kl_divergence, modified_gaussian_ratio
 from .rejection import (
     ENVELOPE_VERSION,
     EnvelopeViolationError,

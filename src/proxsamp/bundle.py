@@ -213,15 +213,6 @@ class BundleResult:
     model_points: Optional[tuple] = None
     planes: Optional[tuple] = None
 
-    def trace_rows(self):
-        """CSV-ready rows (j, t_j, ||x_j - x_{j-1}||) of a recorded run."""
-        if self.gaps is None:
-            raise ValueError("no trajectory: run prox_bundle with record=True")
-        return [
-            (j + 1, self.gaps[j], self.step_norms[j])
-            for j in range(self.iterations)
-        ]
-
 
 def solve_model_subproblem(
     planes: Sequence[CuttingPlane],

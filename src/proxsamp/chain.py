@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -343,17 +343,3 @@ def run_chain(
         subgrad_calls=subgrad_calls,
         config=config,
     )
-
-
-def run_chains(
-    potential: Potential,
-    config: ChainConfig,
-    n_chains: int,
-    x_init: Optional[Array] = None,
-) -> list:
-    """Independent chains with per-chain seeds seed + index."""
-    out = []
-    for i in range(n_chains):
-        cfg_i = replace(config, seed=config.seed + i)
-        out.append(run_chain(potential, cfg_i, x_init=x_init))
-    return out

@@ -36,7 +36,7 @@ from .chain import (
     select_params_composite,
     select_params_semismooth,
 )
-from .potentials import ZOO_NAMES, make_by_name
+from .potentials import make_by_name
 from .rejection import ENVELOPE_VERSION, RgoConfig, rejection_bound
 from .verify import SUITES, run_suites
 
@@ -125,20 +125,25 @@ def resolve_parameters(cfg: dict) -> dict:
             delta = float(rsec["delta"])
         rgo = RgoConfig(eta=eta, delta=delta, mode=rsec["rgo_mode"])
 
-    mu = rsec.get("mu")
+    eps, mu = rsec.get("eps"), rsec.get("mu")
+    with _config_keys("regime.eps"):
+        if eps is not None and not float(eps) > 0:
+            raise ValueError(f"eps must be > 0, got {eps}")
+    with _config_keys("regime.mu"):
+        if mu is not None and not float(mu) >= 0:
+            raise ValueError(f"mu must be >= 0, got {mu}")
     moments = None
     with _config_keys("regime.mu, regime.eps"):
         if mu is None:
-            if kind == "semi-smooth" and rsec.get("eps"):
+            if kind == "semi-smooth" and eps is not None:
                 moments = moment_estimate(pot)
-                mu = select_mu(float(rsec["eps"]), moments)
+                mu = select_mu(float(eps), moments)
             else:
                 mu = 0.0  # convex / strongly-convex regimes run unregularized
         mu = float(mu)
-        eps = rsec.get("eps")
         modulus = mu + profile.lambda_strong if kind == "strongly-convex" else mu
         budget: IterationBudget = select_num_iters(
-            eps=float(eps) if eps else 0.2, eta=eta, mu=modulus, d=d
+            eps=float(eps) if eps is not None else 0.2, eta=eta, mu=modulus, d=d
         )
     return {
         "potential": pot,

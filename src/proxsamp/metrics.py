@@ -1,13 +1,12 @@
-"""Empirical distribution distances: histogram TV, KS statistics, quantile W2."""
+"""Empirical distribution distances in 1D: histogram TV and KS statistics."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import kolmogi, kolmogorov
+from scipy.special import kolmogi
 
 from .quadrature import QuadratureDensity
 
@@ -19,10 +18,10 @@ def default_bins(n_samples: int) -> int:
 
 
 def tv_hist(samples: Array, truth: QuadratureDensity, bins: Optional[int] = None) -> float:
-    """0.5 * sum |p_hat - p| over a histogram aligned with the truth's grid.
+    """0.5 * sum |p_hat - p| over a histogram aligned with the truth's grid (1D).
 
     The histogram estimator is biased low for smooth deviations at small
-    bin counts; bins defaults to ceil(n^(1/3)) per axis.
+    bin counts; bins defaults to ceil(n^(1/3)).
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1:
@@ -30,23 +29,12 @@ def tv_hist(samples: Array, truth: QuadratureDensity, bins: Optional[int] = None
     n, d = samples.shape
     if n == 0:
         raise ValueError("samples must be nonempty")
-    if d != truth.dim:
-        raise ValueError(f"samples have dim {d}, truth has dim {truth.dim}")
-    if d > 2:
-        raise ValueError("tv_hist supports d <= 2")
-    b = bins or default_bins(n)
-    if d == 1:
-        ax = truth.axes[0]
-        edges = np.linspace(ax[0], ax[-1], b + 1)
-        p = truth.bin_probs(edges)
-        counts, _ = np.histogram(samples[:, 0], bins=edges)
-        p_hat = counts / n
-        outside = 1.0 - counts.sum() / n
-        return 0.5 * (float(np.sum(np.abs(p_hat - p))) + outside + (1.0 - p.sum()))
-    ex = np.linspace(truth.axes[0][0], truth.axes[0][-1], b + 1)
-    ey = np.linspace(truth.axes[1][0], truth.axes[1][-1], b + 1)
-    p = truth.bin_probs_2d(ex, ey)
-    counts, _, _ = np.histogram2d(samples[:, 0], samples[:, 1], bins=(ex, ey))
+    if d != 1 or truth.dim != 1:
+        raise ValueError(f"tv_hist is 1D only: samples have dim {d}, truth has dim {truth.dim}")
+    ax = truth.axes[0]
+    edges = np.linspace(ax[0], ax[-1], (bins or default_bins(n)) + 1)
+    p = truth.bin_probs(edges)
+    counts, _ = np.histogram(samples[:, 0], bins=edges)
     p_hat = counts / n
     outside = 1.0 - counts.sum() / n
     return 0.5 * (float(np.sum(np.abs(p_hat - p))) + outside + (1.0 - p.sum()))
@@ -84,11 +72,6 @@ def ks_2samp(a: Array, b: Array) -> float:
     return float(np.max(np.abs(ca - cb)))
 
 
-def ks_pvalue(stat: float, n_eff: float) -> float:
-    """Asymptotic p-value of a KS statistic with effective sample size n_eff."""
-    return float(kolmogorov(math.sqrt(n_eff) * stat))
-
-
 def ks_critical(level: float, n_eff: float) -> float:
     """Asymptotic critical value at the given significance level."""
     return float(kolmogi(level)) / math.sqrt(n_eff)
@@ -96,46 +79,3 @@ def ks_critical(level: float, n_eff: float) -> float:
 
 def two_sample_n_eff(n1: int, n2: int) -> float:
     return n1 * n2 / (n1 + n2)
-
-
-def w2_quantile(samples: Array, truth: QuadratureDensity) -> float:
-    """Wasserstein-2 distance to the truth via the 1D quantile coupling."""
-    s = np.sort(np.asarray(samples, dtype=float).ravel())
-    n = s.size
-    u = (np.arange(n) + 0.5) / n
-    q = truth.quantile(u)
-    return float(np.sqrt(np.mean((s - q) ** 2)))
-
-
-def w2_quantile_2samp(a: Array, b: Array) -> float:
-    """Two-sample quantile-coupling W2 (requires equal sizes)."""
-    a = np.sort(np.asarray(a, dtype=float).ravel())
-    b = np.sort(np.asarray(b, dtype=float).ravel())
-    if a.size != b.size:
-        raise ValueError("two-sample W2 needs equal sizes")
-    return float(np.sqrt(np.mean((a - b) ** 2)))
-
-
-@dataclass(frozen=True)
-class DistanceReport:
-    tv: float
-    ks: Optional[float]
-    w2: Optional[float]
-    n_samples: int
-    bins: int
-
-
-def distance_report(
-    samples: Array, truth: QuadratureDensity, bins: Optional[int] = None
-) -> DistanceReport:
-    """TV always; KS and W2 in 1D only."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim == 1:
-        samples = samples[:, None]
-    b = bins or default_bins(samples.shape[0])
-    tv = tv_hist(samples, truth, b)
-    ks = w2 = None
-    if truth.dim == 1:
-        ks = ks_1samp(samples[:, 0], truth.cdf_at)
-        w2 = w2_quantile(samples[:, 0], truth)
-    return DistanceReport(tv=tv, ks=ks, w2=w2, n_samples=samples.shape[0], bins=b)

@@ -37,11 +37,6 @@ class SmoothnessProfile:
         if self.l_alpha < 0 or self.l_one < 0 or self.lambda_strong < 0:
             raise ValueError("smoothness coefficients must be >= 0")
 
-    @property
-    def usable(self) -> bool:
-        """True when at least one coefficient is positive (step-size rules need one)."""
-        return self.l_alpha > 0 or self.l_one > 0
-
     def holder_bound(self, dist: float) -> float:
         """Declared upper bound on ||f'(u)-f'(v)|| at ||u-v|| = dist."""
         return self.l_alpha * dist**self.alpha + self.l_one * dist

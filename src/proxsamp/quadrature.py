@@ -9,7 +9,7 @@ delegated to scipy's quad.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -70,7 +70,7 @@ def _snapped_grid(lo: float, hi: float, anchor: float, n_points: int) -> Array:
 class QuadratureDensity:
     """Normalized density exp(-f)/Z tabulated on a uniform lattice.
 
-    1D: stores a CDF for KS tests and quantile coupling.  ``log_z`` is the
+    1D: stores a CDF for KS tests and inverse-CDF draws.  ``log_z`` is the
     log normalizer of exp(-f); ``truncation_error`` estimates the mass lost
     outside the grid from the convex tail bound exp(-f(edge))/|f'(edge)|.
     """
@@ -82,7 +82,6 @@ class QuadratureDensity:
     density: Array
     cdf: Optional[Array] = None
     truncation_error: float = 0.0
-    _fmin: float = field(default=0.0, repr=False)
 
     @classmethod
     def build(
@@ -138,7 +137,6 @@ class QuadratureDensity:
             density=norm,
             cdf=cdf,
             truncation_error=trunc,
-            _fmin=fmin,
         )
 
     @classmethod
@@ -181,7 +179,6 @@ class QuadratureDensity:
             density=dens / z_shift,
             cdf=None,
             truncation_error=trunc,
-            _fmin=fmin,
         )
 
     # -- 1D helpers ---------------------------------------------------------
@@ -221,38 +218,9 @@ class QuadratureDensity:
     def bin_probs(self, edges: Array) -> Array:
         """Probability mass per histogram bin (1D, from the CDF)."""
         if self.dim != 1:
-            raise ValueError("bin_probs is 1D only; use bin_probs_2d")
+            raise ValueError("bin_probs is 1D only")
         c = self.cdf_at(edges)
         return np.diff(c)
-
-    def bin_probs_2d(self, edges_x: Array, edges_y: Array) -> Array:
-        """Probability mass per cell (2D, trapezoid-aggregated lattice)."""
-        if self.dim != 2:
-            raise ValueError("bin_probs_2d is 2D only")
-        ax, ay = self.axes
-        hx = ax[1] - ax[0]
-        hy = ay[1] - ay[0]
-        # fine-cell masses by 2D trapezoid
-        d = self.density
-        cell = 0.25 * (d[:-1, :-1] + d[1:, :-1] + d[:-1, 1:] + d[1:, 1:]) * hx * hy
-        cum = np.zeros((cell.shape[0] + 1, cell.shape[1] + 1))
-        cum[1:, 1:] = np.cumsum(np.cumsum(cell, axis=0), axis=1)
-
-        def cum_at(x, y):
-            i = np.clip(np.searchsorted(ax, x), 0, ax.size - 1)
-            j = np.clip(np.searchsorted(ay, y), 0, ay.size - 1)
-            return cum[i, j]
-
-        out = np.empty((edges_x.size - 1, edges_y.size - 1))
-        for i in range(edges_x.size - 1):
-            for j in range(edges_y.size - 1):
-                out[i, j] = (
-                    cum_at(edges_x[i + 1], edges_y[j + 1])
-                    - cum_at(edges_x[i], edges_y[j + 1])
-                    - cum_at(edges_x[i + 1], edges_y[j])
-                    + cum_at(edges_x[i], edges_y[j])
-                )
-        return out
 
 
 def kl_divergence(logpdf0: Callable[[Array], float], truth: QuadratureDensity) -> float:
@@ -311,28 +279,16 @@ def _log_radial_integral(alpha: float, a_tilde: float, d: int) -> float:
     return m + math.log(val)
 
 
-def modified_gaussian_integral(alpha: float, eta: float, a: float, d: int) -> float:
-    """int exp(-||x||^2/(2 eta) - a ||x||^(alpha+1)) dx over R^d.
+def modified_gaussian_ratio(alpha: float, eta: float, a: float, d: int) -> float:
+    """int exp(-||x||^2/(2 eta) - a ||x||^(alpha+1)) dx over R^d, divided by
+    half the Gaussian integral (2 pi eta)^(d/2) / 2.
 
     Reduced to a radial integral against the unit-sphere surface area
-    2 pi^(d/2)/Gamma(d/2) and evaluated adaptively to 1e-8 relative error.
-    With a = 0 this is the plain Gaussian integral (2 pi eta)^(d/2).
+    2 pi^(d/2)/Gamma(d/2), evaluated adaptively to 1e-8 relative error and
+    combined in log space.  With a = 0 the ratio is 2.
     """
     if eta <= 0 or a < 0 or d < 1:
         raise ValueError("need eta > 0, a >= 0, d >= 1")
-    a_tilde = a * eta ** ((alpha + 1.0) / 2.0)
-    log_g = _log_radial_integral(alpha, a_tilde, d)
-    log_coeff = (
-        math.log(2.0)
-        + 0.5 * d * math.log(math.pi)
-        - math.lgamma(0.5 * d)
-        + 0.5 * d * math.log(eta)
-    )
-    return math.exp(log_coeff + log_g)
-
-
-def modified_gaussian_ratio(alpha: float, eta: float, a: float, d: int) -> float:
-    """The integral divided by (2 pi eta)^(d/2) / 2, computed in log space."""
     a_tilde = a * eta ** ((alpha + 1.0) / 2.0)
     log_g = _log_radial_integral(alpha, a_tilde, d)
     log_f0 = (0.5 * d - 1.0) * math.log(2.0) + math.lgamma(0.5 * d)

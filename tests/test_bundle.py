@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from proxsamp import (
     default_zoo,
     envelope_offset,
     gap_start_bound,
-    iteration_bound_composite,
     iteration_bound_semismooth,
     make_gaussian,
     make_l1,
@@ -23,8 +23,9 @@ from proxsamp import (
     select_params_semismooth,
     solve_model_subproblem,
 )
-from proxsamp.bundle import _active_set_dual, model_value
+from proxsamp.bundle import _ROUND_FLOOR, _active_set_dual, model_value
 from proxsamp.potentials import sample_in_ball
+from proxsamp.verify import bundle_case
 
 
 def make_obj(pot, mu, x0, eta, y):
@@ -246,9 +247,15 @@ class TestTwoPlaneClosedForm:
         u, gap, _ = _active_set_dual(S, b, obj.quad_center, obj.eta_mu, 1e-10, 100)
         size = np.abs(u).max()
         assert np.abs(x - exact_two_plane(planes, obj)).max() <= 1e-12 * size
-        # on near-parallel slopes with w* inside (0, 1) the active set's x is
-        # off along the direction in which the model objective is flat, so
-        # there only the model values agree
+        # the active set's u is as accurate as its own certificate: the model
+        # objective is 1/eta_mu-strongly convex, so ||u - x||^2/(2 eta_mu) is
+        # at most its gap, up to the rounding floor the solver stops at
+        solver_scale = np.abs(b).max() + np.abs(S).max() * (np.abs(u).sum() + np.abs(obj.quad_center).sum())
+        assert np.linalg.norm(u - x) <= math.sqrt(2.0 * obj.eta_mu * (gap + _ROUND_FLOOR * solver_scale))
+        # on near-parallel slopes with w* inside (0, 1) it starts at a single
+        # plane whose gap already meets gap_tol, so it makes no pivot and its
+        # x is off along the direction in which the model objective is flat;
+        # everywhere else it agrees with the closed form to rounding
         if kind != "near-interior":
             assert np.abs(x - u).max() <= 1e-12 * size
         assert val == pytest.approx(model_value(planes, u) + obj.quad_part(u), rel=1e-12)
@@ -468,32 +475,5 @@ class TestBundleInvariants:
 
     @pytest.mark.parametrize("name", ["l1", "power_norm", "quad_plus_l1", "hinge_sum", "gaussian"])
     def test_iterations_below_formula_bound(self, name):
-        dim = 4
-        pot = default_zoo(dim)[name]
-        prof = pot.profile
-        from proxsamp.chain import select_params_composite
-
-        eta, delta = select_params_composite(prof, dim)
-        rng = np.random.default_rng(17)
-        for _ in range(40):
-            y = rng.standard_normal(dim) * 2.0
-            obj = make_obj(pot, 0.0, np.zeros(dim), eta, y)
-            res = prox_bundle(obj, delta, record=True)
-            t1 = res.gaps[0]
-            if prof.l_one > 0:
-                j0 = iteration_bound_composite(
-                    obj.eta_mu, prof.l_alpha, prof.alpha, prof.l_one, delta, t1
-                )
-            else:
-                j0 = iteration_bound_semismooth(
-                    obj.eta_mu, prof.l_alpha, prof.alpha, delta, t1
-                )
-            assert res.iterations <= max(1, j0)
-
-    def test_trace_rows_shape(self):
-        pot = make_l1(2, 1.0)
-        obj = make_obj(pot, 0.0, np.zeros(2), 1.0, [2.0, -1.0])
-        res = prox_bundle(obj, delta=1e-4, record=True)
-        rows = res.trace_rows()
-        assert len(rows) == res.iterations
-        assert rows[0][0] == 1
+        # the same J against max(1, J0) dispatch the verify suite runs
+        assert bundle_case(name, default_zoo(4)[name], 40, seed=17)["passed"]

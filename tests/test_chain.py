@@ -19,7 +19,6 @@ from proxsamp import (
     make_quad_plus_l1,
     moment_estimate,
     run_chain,
-    run_chains,
     select_mu,
     select_num_iters,
     select_params_composite,
@@ -218,7 +217,7 @@ class TestChain:
         pot = make_l1(1, 1.0)
         eta, delta = select_params_semismooth(pot.profile, 1)
         cfg = ChainConfig(eta=eta, delta=delta, mu=0.0, center_x0=(0.0,), n_iters=10, seed=0)
-        traces = run_chains(pot, cfg, 3)
+        traces = [run_chain(pot, dataclasses.replace(cfg, seed=cfg.seed + i)) for i in range(3)]
         assert not np.allclose(traces[0].iterates, traces[1].iterates)
         assert not np.allclose(traces[1].iterates, traces[2].iterates)
 

@@ -115,6 +115,22 @@ class TestParams:
         code, _, err = run_cli(["params", "--config", str(cfg)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["params", "sample"])
+    @pytest.mark.parametrize(
+        "key,value,message", [("mu", -1.0, "mu must be >= 0"), ("eps", 0, "eps must be > 0")], ids=["mu", "eps"]
+    )
+    def test_rejected_regime_value_is_usage_error(self, capsys, tmp_path, command, key, value, message):
+        # both commands resolve the parameters through the same checks
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"regime": {"kind": "semi-smooth", "eps": 0.2, key: value}}))
+        out_dir = tmp_path / "o"
+        extra = ["--out-dir", str(out_dir)] if command == "sample" else []
+        code, out, err = run_cli([command, "--config", str(cfg), *extra], capsys)
+        assert code == 2
+        assert message in err and f"regime.{key} in the config" in err
+        assert out == ""
+        assert not out_dir.exists()
+
     @staticmethod
     def hinge_config(tmp_path, normals, **regime):
         planes = [[list(a), -0.5] for a in normals]

@@ -1,18 +1,13 @@
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 
-from proxsamp import QuadratureDensity, distance_report, make_gaussian, make_l1, tv_hist
+from proxsamp import QuadratureDensity, make_gaussian, make_l1, tv_hist
 from proxsamp.metrics import (
     ks_1samp,
     ks_2samp,
     ks_critical,
-    ks_pvalue,
     tv_noise_floor,
     two_sample_n_eff,
-    w2_quantile,
-    w2_quantile_2samp,
 )
 
 
@@ -56,13 +51,10 @@ class TestTvHist:
     def test_dimension_guard(self, gauss_truth):
         with pytest.raises(ValueError):
             tv_hist(np.zeros((10, 3)), gauss_truth)
-
-    def test_2d_self_draw(self):
-        pot = make_gaussian(2, (1.0, 1.0))
-        truth = QuadratureDensity.build(pot.value, 2)
-        rng = np.random.default_rng(2)
-        samples = pot.sample_exact(rng, 40_000)
-        assert tv_hist(samples, truth, bins=20) < 0.05
+        # TV is 1D only: a 2D truth is refused, whatever the samples
+        truth_2d = QuadratureDensity.build(make_gaussian(2, (1.0, 1.0)).value, 2, n_points=21)
+        with pytest.raises(ValueError, match="1D only"):
+            tv_hist(np.zeros((10, 2)), truth_2d)
 
     def test_noise_floor_calibration(self, gauss_truth):
         mean, sd = tv_noise_floor(gauss_truth, 10_000, 22, reps=10, seed=3)
@@ -99,35 +91,6 @@ class TestKs:
         b = rng.standard_normal(30_000) * 1.1
         assert ks_2samp(a, b) > ks_critical(0.01, two_sample_n_eff(30_000, 30_000))
 
-    def test_pvalue_monotone(self):
-        assert ks_pvalue(0.02, 10_000) < ks_pvalue(0.005, 10_000)
-
     def test_critical_value_magnitude(self):
         # classic asymptotic constant at 1%
         assert ks_critical(0.01, 100_000) == pytest.approx(1.6276 / np.sqrt(100_000), rel=1e-3)
-
-
-class TestW2:
-    def test_shift_recovered(self, gauss_truth):
-        rng = np.random.default_rng(9)
-        s = gauss_truth.sample(rng, 200_000) + 0.5
-        assert w2_quantile(s, gauss_truth) == pytest.approx(0.5, abs=0.02)
-
-    def test_two_sample_shift(self):
-        rng = np.random.default_rng(10)
-        a = rng.standard_normal(100_000)
-        assert w2_quantile_2samp(a, a + 1.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_two_sample_size_guard(self):
-        with pytest.raises(ValueError):
-            w2_quantile_2samp(np.zeros(5), np.zeros(6))
-
-
-def test_distance_report_fields(laplace_truth):
-    rng = np.random.default_rng(11)
-    s = laplace_truth.sample(rng, 5000)
-    rep = distance_report(s, laplace_truth)
-    assert 0.0 <= rep.tv <= 1.0
-    assert rep.ks is not None and rep.w2 is not None
-    d = asdict(rep)
-    assert set(d) == {"tv", "ks", "w2", "n_samples", "bins"}

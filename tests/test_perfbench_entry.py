@@ -1,0 +1,46 @@
+"""The benchmark's entry points still find what they look up in proxsamp.
+
+``perfbench/`` drives proxsamp from outside the package: its tracer wraps
+named call sites, and its workloads pass ``ChainConfig`` keywords and config
+keys such as ``chain.workers``.  A change that removes one of those names
+fails here, and not only in a benchmark run.
+"""
+
+import os
+
+import pytest
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import tracing
+    import workloads
+
+    return tracing, workloads
+
+
+@pytest.mark.parametrize("name", ["LaplaceA1", "PowerNormCli", "VerifyAll"])
+def test_workload_runs_under_tracer(perfbench, tmp_path, name):
+    tracing, workloads = perfbench
+    work = getattr(workloads, name)(0, str(tmp_path))
+    # a sampling round shrinks to a few sweeps; verify-all runs its set-up only
+    if name == "LaplaceA1":
+        work.KEEP = 1
+    elif name == "PowerNormCli":
+        work.N_ITERS = 3
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        state = work.setup(tracer)
+        if name == "LaplaceA1":
+            state["burn"] = 3
+        res = None if name == "VerifyAll" else work.round(1, state)
+    finally:
+        tracer.restore()
+    if res is not None:
+        assert (res["failed"], res["error"]) == (0, None)
+        assert res["sweeps"] > 0
+        assert tracing.GIBBS in tracer.names

@@ -213,4 +213,3 @@ class TestZoo:
             SmoothnessProfile(alpha=1.5, l_alpha=1.0)
         with pytest.raises(ValueError):
             SmoothnessProfile(alpha=0.5, l_alpha=-1.0)
-        assert not SmoothnessProfile(alpha=1.0, l_alpha=0.0).usable

@@ -10,7 +10,6 @@ from proxsamp import (
     make_l1,
     make_power_norm,
     make_quad_plus_l1,
-    modified_gaussian_integral,
     modified_gaussian_ratio,
 )
 
@@ -95,35 +94,37 @@ class TestModifiedGaussianIntegral:
     @pytest.mark.parametrize("d", [1, 2, 5, 20])
     def test_a_zero_closed_form(self, d):
         eta = 0.37
-        val = modified_gaussian_integral(0.5, eta, 0.0, d)
-        assert val == pytest.approx((2 * math.pi * eta) ** (d / 2.0), rel=1e-8)
+        # with a = 0 the integral is the Gaussian one, (2 pi eta)^(d/2)
+        assert modified_gaussian_ratio(0.5, eta, 0.0, d) == pytest.approx(2.0, rel=1e-8)
 
     @pytest.mark.parametrize("d", [1, 3, 10])
     def test_alpha_one_closed_form(self, d):
         eta, a = 0.5, 0.7
-        val = modified_gaussian_integral(1.0, eta, a, d)
-        assert val == pytest.approx(
-            (2 * math.pi / (1 / eta + 2 * a)) ** (d / 2.0), rel=1e-8
-        )
+        # the integral is (2 pi / (1/eta + 2a))^(d/2)
+        val = modified_gaussian_ratio(1.0, eta, a, d)
+        assert val == pytest.approx(2.0 * (1.0 + 2.0 * a * eta) ** (-d / 2.0), rel=1e-8)
 
     def test_boundary_point_value(self):
         # alpha=0, d=1, eta=1, a=0.5 sits exactly on the admissibility
-        # boundary; value from the error-function closed form
-        val = modified_gaussian_integral(0.0, 1.0, 0.5, 1)
+        # boundary; the integral is 2 e^(1/8) sqrt(2 pi) (1 - Phi(1/2)) by the
+        # error-function closed form
+        val = modified_gaussian_ratio(0.0, 1.0, 0.5, 1)
         from scipy.special import ndtr
 
-        expected = 2 * math.exp(0.125) * math.sqrt(2 * math.pi) * (1 - ndtr(0.5))
+        expected = 4 * math.exp(0.125) * (1 - ndtr(0.5))
         assert val == pytest.approx(expected, rel=1e-8)
-        assert val >= math.sqrt(2 * math.pi) / 2
+        assert val >= 1.0
 
     def test_ratio_at_a_zero_is_two(self):
         assert modified_gaussian_ratio(0.25, 0.8, 0.0, 7) == pytest.approx(2.0, rel=1e-8)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            modified_gaussian_integral(0.5, -1.0, 0.0, 2)
+            modified_gaussian_ratio(0.5, -1.0, 0.0, 2)
         with pytest.raises(ValueError):
-            modified_gaussian_integral(0.5, 1.0, -0.1, 2)
+            modified_gaussian_ratio(0.5, 1.0, -0.1, 2)
+        with pytest.raises(ValueError):
+            modified_gaussian_ratio(0.5, 1.0, 0.0, 0)
 
     def test_large_dimension_stable(self):
         # the log-space route must not overflow where the direct form would;

@@ -271,7 +271,7 @@ class TestRgoSample:
         # the per-sweep layers never warn
         import warnings
 
-        from proxsamp import ChainConfig, gibbs_step, run_chain, run_chains
+        from proxsamp import ChainConfig, gibbs_step, run_chain
 
         pot = make_l1(1, 1.0)
 
@@ -286,7 +286,7 @@ class TestRgoSample:
 
         assert count_warnings(lambda: run_chain(pot, config(1.0 / 16.0))) == 0
         assert count_warnings(lambda: run_chain(pot, config(1.0))) == 1
-        assert count_warnings(lambda: run_chains(pot, config(1.0), 3)) == 3
+        assert count_warnings(lambda: [run_chain(pot, config(1.0)) for _ in range(3)]) == 3
         # at eta = 1 the guard 1/16 fails: sweeps and oracle calls stay silent
         target = RegularizedTarget(pot, 0.0, np.zeros(1))
         cfg = RgoConfig(eta=1.0, mode="exact")
