@@ -22,7 +22,14 @@ import numpy as np
 from .bundle import ProxObjective, SamplerError, eta_mu_of
 from .potentials import Array, Potential, RegularizedTarget, SmoothnessProfile
 from .quadrature import QuadratureDensity
-from .rejection import RgoConfig, StepSizeWarning, rgo_sample, semismooth_step, step_condition_ok
+from .rejection import (
+    RgoConfig,
+    StepSizeWarning,
+    rgo_sample,
+    semismooth_step,
+    step_condition_ok,
+    step_guard,
+)
 
 REGIMES = ("semi-smooth", "composite", "strongly-convex")
 
@@ -132,18 +139,13 @@ def moment_estimate(potential: Potential, center_x0: Optional[Array] = None) -> 
         m4 = potential.fourth_moment
         source = "analytic"
     elif potential.dim <= 2:
-        truth = QuadratureDensity.build(
-            potential.value,
-            potential.dim,
-            center=x_min if x_min is not None else None,
-        )
+        try:
+            truth = QuadratureDensity.build(potential.value, potential.dim, center=x_min)
+        except ValueError as e:
+            raise ValueError(f"{e}: set mu explicitly") from e
         if x_min is None:
-            if potential.dim == 1:
-                i = int(np.argmin(truth.logpot))
-                x_min = np.array([truth.axes[0][i]])
-            else:
-                i, j = np.unravel_index(np.argmin(truth.logpot), truth.logpot.shape)
-                x_min = np.array([truth.axes[0][i], truth.axes[1][j]])
+            idx = np.unravel_index(np.argmin(truth.logpot), truth.logpot.shape)
+            x_min = np.array([ax[i] for ax, i in zip(truth.axes, idx)])
         xm = x_min
         m4 = truth.moment(lambda x: float(np.sum((x - xm) ** 2)) ** 2)
         source = "quadrature"
@@ -185,14 +187,12 @@ def _gap_tolerance(alpha: float, d: int) -> float:
 
 def select_params_composite(profile: SmoothnessProfile, d: int) -> tuple:
     """(eta, delta) with the step size capped by both regime guards."""
-    if profile.l_alpha <= 0 and profile.l_one <= 0:
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    eta = step_guard(profile, d)
+    if math.isinf(eta):
         raise ValueError("composite rule needs l_alpha > 0 or l_one > 0")
-    guards = []
-    if profile.l_alpha > 0:
-        guards.append(select_params_semismooth(profile, d)[0])
-    if profile.l_one > 0:
-        guards.append(1.0 / (profile.l_one * d))
-    return min(guards), _gap_tolerance(profile.alpha, d)
+    return eta, _gap_tolerance(profile.alpha, d)
 
 
 def select_mu(eps: float, moments: MomentEstimate) -> float:

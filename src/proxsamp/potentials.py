@@ -60,7 +60,6 @@ class Potential:
     profile: SmoothnessProfile
     prox: Optional[Callable[[float, Array], Array]] = None
     x_min: Optional[Array] = None
-    f_min: Optional[float] = None
     sample_exact: Optional[Callable[[np.random.Generator, int], Array]] = None
     fourth_moment: Optional[float] = None
     name: str = "custom"
@@ -215,7 +214,6 @@ def make_l1(dim: int, scale: float = 1.0) -> Potential:
         profile=SmoothnessProfile(alpha=0.0, l_alpha=2.0 * s * math.sqrt(dim)),
         prox=prox,
         x_min=np.zeros(dim),
-        f_min=0.0,
         sample_exact=sample,
         fourth_moment=m4,
         name="l1",
@@ -288,7 +286,6 @@ def make_power_norm(dim: int, alpha: float, c: float = 1.0) -> Potential:
         profile=SmoothnessProfile(alpha=a, l_alpha=cc * 2.0 ** (1.0 - a)),
         prox=prox,
         x_min=np.zeros(dim),
-        f_min=0.0,
         fourth_moment=m4,
         name="power_norm",
     )
@@ -333,7 +330,6 @@ def make_quad_plus_l1(
         ),
         prox=prox,
         x_min=np.zeros(dim),
-        f_min=0.0,
         fourth_moment=_independent_fourth_moment(m2, m4),
         name="quad_plus_l1",
     )
@@ -371,11 +367,7 @@ def make_hinge_sum(dim: int, planes: Sequence[tuple]) -> Potential:
         active = (A @ np.asarray(x, dtype=float) + b) > 0.0
         return A.T @ active.astype(float)
 
-    x_min = None
-    f_min = None
-    if np.all(b <= 0):
-        x_min = np.zeros(dim)
-        f_min = 0.0
+    x_min = np.zeros(dim) if np.all(b <= 0) else None
     return Potential(
         dim=dim,
         value=value,
@@ -384,7 +376,6 @@ def make_hinge_sum(dim: int, planes: Sequence[tuple]) -> Potential:
             alpha=0.0, l_alpha=float(np.sum(np.linalg.norm(A, axis=1)))
         ),
         x_min=x_min,
-        f_min=f_min,
         name="hinge_sum",
     )
 
@@ -422,7 +413,6 @@ def make_gaussian(dim: int, diag_precision: Sequence[float]) -> Potential:
         ),
         prox=prox,
         x_min=np.zeros(dim),
-        f_min=0.0,
         sample_exact=sample,
         fourth_moment=m4,
         name="gaussian",

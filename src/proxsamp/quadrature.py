@@ -1,9 +1,12 @@
 """Deterministic quadrature ground truth for densities exp(-f), d <= 2.
 
-Composite Simpson on fixed grids with tail-driven truncation gives a
-reproducible oracle for normalizers, CDFs, moments and KL terms.  The only
-adaptive piece is the radial integral used by the modified-Gaussian bound,
-delegated to scipy's quad.
+One tensor-product lattice serves d = 1 and d = 2: each axis is bracketed
+on the slice through ``center`` until f clears its minimum by the tail
+threshold, every lattice point is tabulated once, and one composite Simpson
+rule integrates normalizers, moments and KL terms.  A lattice whose
+boundary cells hold more than ``TRUNCATION_BUDGET`` of the mass is refused.
+The only adaptive piece is the radial integral used by the modified-Gaussian
+bound, delegated to scipy's quad.
 """
 
 from __future__ import annotations
@@ -19,9 +22,12 @@ Array = np.ndarray
 
 # f - f_min threshold beyond which mass is treated as negligible: edge
 # density e^-25 integrates to ~1e-11 for exp-decay tails, three orders
-# below the 1e-8 truncation budget, while keeping lattices fine enough for
-# the 1e-7 normalizer self-consistency target
+# below TRUNCATION_BUDGET, while keeping lattices fine enough for the 1e-7
+# normalizer self-consistency target
 TAIL_THRESHOLD = 25.0
+
+# largest share of the mass ``build`` accepts in the lattice's boundary cells
+TRUNCATION_BUDGET = 1e-8
 
 
 def _simpson_weights(n: int) -> Array:
@@ -66,13 +72,35 @@ def _snapped_grid(lo: float, hi: float, anchor: float, n_points: int) -> Array:
     return anchor + (np.arange(n) - 2 * m_left) * h
 
 
+def _tabulate(fn: Callable[[Array], float], axes: tuple) -> Array:
+    """fn at every lattice point, in the lattice's shape.  The points are
+    rows of one (N, d) array, each passed to fn as a shape-(d,) view."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    points = np.stack(grids, axis=-1).reshape(-1, len(axes))
+    return np.array([fn(p) for p in points]).reshape(grids[0].shape)
+
+
+def _simpson(axes: tuple, *factors: Array) -> float:
+    """Composite Simpson integral over the lattice of the product of
+    ``factors``: the outer product of the per-axis weights, times the
+    cell volume."""
+    w = _simpson_weights(axes[0].size)
+    for x in axes[1:]:
+        w = np.multiply.outer(w, _simpson_weights(x.size))
+    for a in factors:
+        w = w * a
+    return float(np.sum(w)) * math.prod(x[1] - x[0] for x in axes)
+
+
 @dataclass(eq=False)
 class QuadratureDensity:
-    """Normalized density exp(-f)/Z tabulated on a uniform lattice.
+    """Normalized density exp(-f)/Z tabulated on a uniform lattice, d <= 2.
 
-    1D: stores a CDF for KS tests and inverse-CDF draws.  ``log_z`` is the
-    log normalizer of exp(-f); ``truncation_error`` estimates the mass lost
-    outside the grid from the convex tail bound exp(-f(edge))/|f'(edge)|.
+    ``logpot`` and ``density`` have the lattice's shape, one axis per
+    coordinate; ``log_z`` is the log normalizer of exp(-f).
+    ``truncation_error`` is the share of the mass in the boundary cells,
+    which ``build`` keeps within ``TRUNCATION_BUDGET``.  In 1D ``cdf`` backs
+    KS tests, histogram bins and inverse-CDF draws.
     """
 
     dim: int
@@ -92,60 +120,22 @@ class QuadratureDensity:
         n_points: Optional[int] = None,
         threshold: float = TAIL_THRESHOLD,
     ) -> "QuadratureDensity":
+        """Tabulate exp(-f) on a lattice bracketing the slices through
+        ``center``; raise ``ValueError`` when the boundary cells hold more
+        than ``TRUNCATION_BUDGET`` of the mass (f decays slowly off the
+        axes through ``center``)."""
         if dim not in (1, 2):
             raise ValueError("quadrature ground truth supports d <= 2 only")
         if center is None:
             center = np.zeros(dim)
         center = np.atleast_1d(np.asarray(center, dtype=float))
-        if dim == 1:
-            return cls._build_1d(f, float(center[0]), n_points or 8193, threshold)
         # wide-span slowly decaying 2D targets may need n_points raised; the
         # default serves the narrow proximal targets and fast-decay zoo
-        return cls._build_2d(f, center, n_points or 641, threshold)
-
-    @classmethod
-    def _build_1d(cls, f, center, n_points, threshold):
-        if n_points % 2 == 0:
-            n_points += 1
-        lo, hi = _expand_bounds_1d(f, center, threshold)
-        x = _snapped_grid(lo, hi, center, n_points)
-        fv = np.array([f(np.array([xi])) for xi in x])
-        fmin = float(np.min(fv))
-        h = x[1] - x[0]
-        n_points = x.size
-        dens = np.exp(-(fv - fmin))
-        z_shift = float(np.sum(_simpson_weights(n_points) * dens)) * h
-        log_z = math.log(z_shift) - fmin
-
-        # convex tail bound: mass beyond an edge <= density(edge)/slope(edge)
-        slope_r = (fv[-1] - fv[-2]) / h
-        slope_l = (fv[0] - fv[1]) / h
-        trunc = 0.0
-        if slope_r > 0:
-            trunc += dens[-1] / slope_r / z_shift
-        if slope_l > 0:
-            trunc += dens[0] / slope_l / z_shift
-
-        norm = dens / z_shift
-        cdf = np.concatenate([[0.0], np.cumsum((norm[1:] + norm[:-1]) * 0.5 * h)])
-        cdf /= cdf[-1]
-        return cls(
-            dim=1,
-            axes=(x,),
-            logpot=fv,
-            log_z=log_z,
-            density=norm,
-            cdf=cdf,
-            truncation_error=trunc,
-        )
-
-    @classmethod
-    def _build_2d(cls, f, center, n_points, threshold):
-        n = n_points
+        n = n_points or (8193 if dim == 1 else 641)
         if n % 2 == 0:
             n += 1
         axes = []
-        for k in range(2):
+        for k in range(dim):
 
             def f_axis(t, k=k):
                 p = center.copy()
@@ -154,32 +144,32 @@ class QuadratureDensity:
 
             lo, hi = _expand_bounds_1d(f_axis, float(center[k]), threshold)
             axes.append(_snapped_grid(lo, hi, float(center[k]), n))
-        fv = np.empty((axes[0].size, axes[1].size))
-        for i, xi in enumerate(axes[0]):
-            for j, yj in enumerate(axes[1]):
-                fv[i, j] = f(np.array([xi, yj]))
-        fmin = float(fv.min())
+        axes = tuple(axes)
+
+        fv = _tabulate(f, axes)
+        fmin = float(np.min(fv))
         dens = np.exp(-(fv - fmin))
-        hx = axes[0][1] - axes[0][0]
-        hy = axes[1][1] - axes[1][0]
-        wx = _simpson_weights(axes[0].size)
-        wy = _simpson_weights(axes[1].size)
-        z_shift = float(wx @ dens @ wy) * hx * hy
+        z_shift = _simpson(axes, dens)
         log_z = math.log(z_shift) - fmin
-        # crude but conservative: boundary rows/columns carry ~e^-threshold mass
-        edge = (
-            dens[0, :].sum() + dens[-1, :].sum() + dens[:, 0].sum() + dens[:, -1].sum()
-        )
-        trunc = edge * hx * hy / z_shift
-        return cls(
-            dim=2,
-            axes=tuple(axes),
-            logpot=fv,
-            log_z=log_z,
-            density=dens / z_shift,
-            cdf=None,
-            truncation_error=trunc,
-        )
+        # each lattice point owns one cell of the uniform lattice
+        edge = np.ones(dens.shape, dtype=bool)
+        edge[(slice(1, -1),) * dim] = False
+        trunc = float(np.sum(dens[edge]) / np.sum(dens))
+        if trunc > TRUNCATION_BUDGET:
+            raise ValueError(
+                f"quadrature lattice misses {trunc:.1e} of the mass, above the "
+                f"{TRUNCATION_BUDGET:g} budget: exp(-f) reaches past the box "
+                "bracketed on the axes through the center"
+            )
+
+        norm = dens / z_shift
+        cdf = None
+        if dim == 1:
+            h = axes[0][1] - axes[0][0]
+            cdf = np.concatenate([[0.0], np.cumsum((norm[1:] + norm[:-1]) * 0.5 * h)])
+            cdf /= cdf[-1]
+        return cls(dim=dim, axes=axes, logpot=fv, log_z=log_z, density=norm, cdf=cdf,
+                   truncation_error=trunc)
 
     # -- 1D helpers ---------------------------------------------------------
 
@@ -199,21 +189,7 @@ class QuadratureDensity:
 
     def moment(self, fn: Callable[[Array], float]) -> float:
         """E[fn(x)] under the normalized density (Simpson)."""
-        if self.dim == 1:
-            x = self.axes[0]
-            vals = np.array([fn(np.array([xi])) for xi in x])
-            w = _simpson_weights(x.size)
-            return float(np.sum(w * vals * self.density)) * (x[1] - x[0])
-        ax, ay = self.axes
-        vals = np.empty_like(self.density)
-        for i, xi in enumerate(ax):
-            for j, yj in enumerate(ay):
-                vals[i, j] = fn(np.array([xi, yj]))
-        hx = ax[1] - ax[0]
-        hy = ay[1] - ay[0]
-        wx = _simpson_weights(ax.size)
-        wy = _simpson_weights(ay.size)
-        return float(wx @ (vals * self.density) @ wy) * hx * hy
+        return _simpson(self.axes, _tabulate(fn, self.axes), self.density)
 
     def bin_probs(self, edges: Array) -> Array:
         """Probability mass per histogram bin (1D, from the CDF)."""
@@ -225,22 +201,8 @@ class QuadratureDensity:
 
 def kl_divergence(logpdf0: Callable[[Array], float], truth: QuadratureDensity) -> float:
     """KL(rho0 || pi) where rho0 has known log-pdf and pi is the quadrature truth."""
-    log_z = truth.log_z
-
-    def integrand(x):
-        lp0 = logpdf0(x)
-        return math.exp(lp0) * (lp0 - (-_logpot_at(truth, x) - log_z))
-
-    if truth.dim != 1:
-        raise ValueError("kl_divergence implemented for 1D truths")
-    x = truth.axes[0]
-    w = _simpson_weights(x.size)
-    vals = np.array([integrand(np.array([xi])) for xi in x])
-    return float(np.sum(w * vals)) * (x[1] - x[0])
-
-
-def _logpot_at(truth: QuadratureDensity, x: Array) -> float:
-    return float(np.interp(float(x[0]), truth.axes[0], truth.logpot))
+    lp0 = _tabulate(logpdf0, truth.axes)
+    return _simpson(truth.axes, np.exp(lp0) * (lp0 - (-truth.logpot - truth.log_z)))
 
 
 # ---------------------------------------------------------------------------

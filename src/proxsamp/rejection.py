@@ -161,18 +161,22 @@ def semismooth_step(alpha: float, l_alpha: float, dim: int) -> float:
     return (a + 1.0) ** (2.0 / (a + 1.0)) / ((2.0 * l_alpha) ** (2.0 / (a + 1.0)) * dim)
 
 
+def step_guard(profile: SmoothnessProfile, dim: int) -> float:
+    """The largest step size the regime guards allow: the semi-smooth guard
+    if l_alpha > 0, capped by 1/(l_one d) if l_one > 0; inf if neither applies."""
+    guard = math.inf
+    if profile.l_alpha > 0:
+        guard = semismooth_step(profile.alpha, profile.l_alpha, dim)
+    if profile.l_one > 0:
+        guard = min(guard, 1.0 / (profile.l_one * dim))
+    return guard
+
+
 def step_condition_ok(
     eta_mu: float, profile: SmoothnessProfile, dim: int
 ) -> bool:
     """Check the step-size guards under which the proposal-count bounds hold."""
-    if profile.l_alpha > 0:
-        guard = semismooth_step(profile.alpha, profile.l_alpha, dim)
-        if eta_mu > guard * (1.0 + 1e-12):
-            return False
-    if profile.l_one > 0:
-        if eta_mu > (1.0 + 1e-12) / (profile.l_one * dim):
-            return False
-    return True
+    return eta_mu <= step_guard(profile, dim) * (1.0 + 1e-12)
 
 
 class RejectionBound(NamedTuple):

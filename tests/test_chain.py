@@ -103,7 +103,6 @@ class TestSelectMu:
             profile=pot.profile,
             prox=pot.prox,
             x_min=pot.x_min,
-            f_min=pot.f_min,
             name="l1-stripped",
         )
         est = moment_estimate(stripped)

@@ -157,6 +157,16 @@ class TestParams:
         assert code == 0
         assert "hinge_sum (d=5)" in out and "rejection_bound" in out
 
+    def test_off_axis_hinge_needs_mu(self, capsys, tmp_path):
+        # the slow direction (1, -1) lies off the coordinate axes, so the
+        # quadrature lattice bracketed on them misses mass (true M4 1,056,136
+        # against the lattice's 220,402): refused with exit 2, not a wrong mu
+        normals = [(1.0, 1.0), (-1.0, -1.0), (0.05, -0.05), (-0.05, 0.05)]
+        code, out, err = run_cli(["params", "--config", str(self.hinge_config(tmp_path, normals))], capsys)
+        assert code == 2
+        assert "regime.mu" in err and "budget" in err
+        assert out == ""
+
     def test_improper_hinge_set_is_usage_error(self, capsys, tmp_path):
         # f = 0 on the quadrant x <= 1/2: exp(-f) has infinite mass
         cfg = self.hinge_config(tmp_path, np.eye(2))

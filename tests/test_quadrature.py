@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 
 from proxsamp import (
     QuadratureDensity,
+    RegularizedTarget,
     kl_divergence,
     make_gaussian,
+    make_hinge_sum,
     make_l1,
     make_power_norm,
     make_quad_plus_l1,
@@ -49,12 +52,9 @@ class TestDensityBuild:
         assert abs(math.exp(q1.log_z - q2.log_z) - 1.0) < 1e-7
 
     def test_density_integrates_to_one(self):
-        from proxsamp.quadrature import _simpson_weights
-
         q = QuadratureDensity.build(make_l1(1, 1.0).value, 1)
         x = q.axes[0]
-        total = float(np.sum(_simpson_weights(x.size) * q.density)) * (x[1] - x[0])
-        assert total == pytest.approx(1.0, abs=1e-12)
+        assert q.moment(lambda _: 1.0) == pytest.approx(1.0, abs=1e-12)
         # trapezoid cross-check carries its own O(h^2) error budget
         assert np.trapezoid(q.density, x) == pytest.approx(1.0, abs=1e-4)
 
@@ -88,6 +88,63 @@ class TestDensityBuild:
 
         expected = 0.5 * (0.25 + math.log(4.0) - 1.0)
         assert kl_divergence(logpdf0, q) == pytest.approx(expected, abs=1e-8)
+
+    def test_kl_divergence_between_gaussians_2d(self):
+        # KL(N(0, I) || N(0, diag(1/p))) = 0.5 sum_i (p_i - 1 - ln p_i)
+        p = (0.25, 2.0)
+        q = QuadratureDensity.build(make_gaussian(2, p).value, 2, n_points=321)
+
+        def logpdf0(x):
+            return -0.5 * float(x @ x) - math.log(2 * math.pi)
+
+        # Simpson's O(h^4) error at 321 points per axis is ~6e-7
+        expected = 0.5 * sum(pi - 1.0 - math.log(pi) for pi in p)
+        assert kl_divergence(logpdf0, q) == pytest.approx(expected, abs=2e-6)
+
+    def test_lattice_missing_mass_is_refused(self):
+        # hinges along (1, 1) and, 20x flatter, along (1, -1): the box
+        # bracketed on the coordinate axes cuts off the diagonal tails
+        planes = [((1.0, 1.0), -0.5), ((-1.0, -1.0), -0.5),
+                  ((0.05, -0.05), -0.5), ((-0.05, 0.05), -0.5)]
+        with pytest.raises(ValueError, match="budget"):
+            QuadratureDensity.build(make_hinge_sum(2, planes).value, 2, n_points=101)
+
+
+def _sha256(a) -> str:
+    return hashlib.sha256(np.asarray(a, dtype=np.float64).tobytes()).hexdigest()
+
+
+class TestPinnedTruthBits:
+    """sha256 of the float64 bytes of the 1-D truths behind A1 and the
+    laplace-a1 set-up, recorded with numpy 2.4 on x86-64: a rewrite of the
+    lattice or Simpson arithmetic must leave every 1-D bit in place."""
+
+    PINS = {
+        "l1": {
+            "log_z": "c1a31fce60dd63d84f82fb99aa8cbb2fb9a99cd389083a6525445cfe9643e022",
+            "density": "6462081a6fc106e9a224f9d5fe552e4a49dede51107b365f76a08ab7f1c63010",
+            "cdf": "d50d73d799045b7ab47bb20c42e83d05e6a8eae6a06118a6011d43c19b692916",
+        },
+        "a1-regularized": {
+            "log_z": "d2bc2ab067b42ebd0f0c1b49efedce2844cdbd9cc3abc46b11f55fc445b39dde",
+            "density": "646265f3db79860b497a7664bf46f2a30374971d0d057c2c9f277777380e8a5c",
+            "cdf": "a49da64f1d84376a8567e954a26d4c0f2c2d67ef8c097f1048acb9c7a4684a29",
+        },
+    }
+
+    @staticmethod
+    def truth(name):
+        pot = make_l1(1, 1.0)
+        if name == "a1-regularized":
+            # A1's mu = 0.2 / (sqrt(2) sqrt(M4)) with the l1 lattice's M4
+            pot = RegularizedTarget(pot, 0.028867513476156716, np.zeros(1))
+        return QuadratureDensity.build(pot.value, 1)
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_bits(self, name):
+        q = self.truth(name)
+        got = {field: _sha256(getattr(q, field)) for field in self.PINS[name]}
+        assert got == self.PINS[name]
 
 
 class TestModifiedGaussianIntegral:

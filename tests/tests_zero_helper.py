@@ -12,6 +12,5 @@ def make_zero(dim):
         profile=SmoothnessProfile(alpha=1.0, l_alpha=0.0, l_one=0.0),
         prox=lambda eta, y: np.asarray(y, dtype=float),
         x_min=np.zeros(dim),
-        f_min=0.0,
         name="zero",
     )
