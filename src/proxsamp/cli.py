@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -127,11 +126,11 @@ def resolve_parameters(cfg: dict) -> dict:
 
     eps, mu = rsec.get("eps"), rsec.get("mu")
     with _config_keys("regime.eps"):
-        if eps is not None and not float(eps) > 0:
-            raise ValueError(f"eps must be > 0, got {eps}")
+        if eps is not None and not 0 < float(eps) < math.inf:
+            raise ValueError(f"eps must be > 0 and finite, got {eps}")
     with _config_keys("regime.mu"):
-        if mu is not None and not float(mu) >= 0:
-            raise ValueError(f"mu must be >= 0, got {mu}")
+        if mu is not None and not 0 <= float(mu) < math.inf:
+            raise ValueError(f"mu must be >= 0 and finite, got {mu}")
     moments = None
     with _config_keys("regime.mu, regime.eps"):
         if mu is None:
@@ -211,9 +210,15 @@ def cmd_sample(args) -> int:
     center = pot.x_min if pot.x_min is not None else np.zeros(pot.dim)
 
     # every chain's config and start are checked before any chain runs
-    with _config_keys("chain, regime.mu"):
+    with _config_keys("chain.n_chains"):
         n_chains = int(csec["n_chains"])
-        workers = max(1, int(csec["workers"]))
+        if n_chains < 1:
+            raise ValueError(f"n_chains must be >= 1, got {n_chains}")
+    with _config_keys("chain.workers"):
+        workers = int(csec["workers"])
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+    with _config_keys("chain, regime.mu"):
         chain_cfgs = [
             ChainConfig(
                 eta=p["eta"],
@@ -234,6 +239,8 @@ def cmd_sample(args) -> int:
             x_init = np.atleast_1d(np.asarray(x_init, dtype=float))
             if x_init.shape != (pot.dim,):
                 raise ValueError(f"x_init has shape {x_init.shape}, expected ({pot.dim},)")
+            if not np.all(np.isfinite(x_init)):
+                raise ValueError(f"x_init must be finite, got {x_init.tolist()}")
     payloads = [
         (i, cfg["target"]["name"], pot.dim, cfg["target"].get("params") or {}, chain_cfg, x_init)
         for i, chain_cfg in enumerate(chain_cfgs)
@@ -242,6 +249,8 @@ def cmd_sample(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             traces = list(pool.map(_run_one_chain, payloads))
     else:

@@ -6,7 +6,6 @@ import math
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import kolmogi
 
 from .quadrature import QuadratureDensity
 
@@ -74,6 +73,8 @@ def ks_2samp(a: Array, b: Array) -> float:
 
 def ks_critical(level: float, n_eff: float) -> float:
     """Asymptotic critical value at the given significance level."""
+    from scipy.special import kolmogi
+
     return float(kolmogi(level)) / math.sqrt(n_eff)
 
 

@@ -6,7 +6,8 @@ threshold, every lattice point is tabulated once, and one composite Simpson
 rule integrates normalizers, moments and KL terms.  A lattice whose
 boundary cells hold more than ``TRUNCATION_BUDGET`` of the mass is refused.
 The only adaptive piece is the radial integral used by the modified-Gaussian
-bound, delegated to scipy's quad.
+bound, delegated to scipy's quad.  scipy is imported inside that integral,
+so building and querying a lattice loads numpy only.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 Array = np.ndarray
 
@@ -212,6 +212,7 @@ def kl_divergence(logpdf0: Callable[[Array], float], truth: QuadratureDensity) -
 
 def _log_radial_integral(alpha: float, a_tilde: float, d: int) -> float:
     """log of G = int_0^inf exp(-s^2/2 - a_tilde s^(alpha+1)) s^(d-1) ds."""
+    from scipy.integrate import quad
 
     def phi(s):
         if s <= 0.0:

@@ -59,12 +59,12 @@ class RgoConfig:
     mode: str = "exact"
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be > 0")
+        if not 0 < self.eta < math.inf:
+            raise ValueError(f"eta must be finite and > 0, got {self.eta}")
         if self.mode not in ("exact", "bundle"):
             raise ValueError(f"mode must be 'exact' or 'bundle', got {self.mode!r}")
-        if self.mode == "bundle" and self.delta <= 0:
-            raise ValueError("bundle mode needs delta > 0")
+        if self.mode == "bundle" and not 0 < self.delta < math.inf:
+            raise ValueError(f"bundle mode needs a finite delta > 0, got {self.delta}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -117,7 +117,14 @@ class TestParams:
 
     @pytest.mark.parametrize("command", ["params", "sample"])
     @pytest.mark.parametrize(
-        "key,value,message", [("mu", -1.0, "mu must be >= 0"), ("eps", 0, "eps must be > 0")], ids=["mu", "eps"]
+        "key,value,message",
+        [
+            ("mu", -1.0, "mu must be >= 0"),
+            ("eps", 0, "eps must be > 0"),
+            ("mu", math.inf, "mu must be >= 0 and finite"),
+            ("eps", math.inf, "eps must be > 0 and finite"),
+        ],
+        ids=["mu", "eps", "mu-inf", "eps-inf"],
     )
     def test_rejected_regime_value_is_usage_error(self, capsys, tmp_path, command, key, value, message):
         # both commands resolve the parameters through the same checks
@@ -128,6 +135,28 @@ class TestParams:
         code, out, err = run_cli([command, "--config", str(cfg), *extra], capsys)
         assert code == 2
         assert message in err and f"regime.{key} in the config" in err
+        assert out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["params", "sample"])
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("eta", math.nan, "eta must be finite and > 0"),
+            ("eta", math.inf, "eta must be finite and > 0"),
+            ("delta", math.nan, "bundle mode needs a finite delta > 0"),
+            ("delta", math.inf, "bundle mode needs a finite delta > 0"),
+        ],
+        ids=["eta-nan", "eta-inf", "delta-nan", "delta-inf"],
+    )
+    def test_non_finite_step_setting_is_usage_error(self, capsys, tmp_path, command, key, value, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"regime": {"kind": "semi-smooth", "eps": 0.2, "rgo_mode": "bundle", key: value}}))
+        out_dir = tmp_path / "o"
+        extra = ["--out-dir", str(out_dir)] if command == "sample" else []
+        code, out, err = run_cli([command, "--config", str(cfg), *extra], capsys)
+        assert code == 2
+        assert message in err and f"regime.{key}" in err
         assert out == ""
         assert not out_dir.exists()
 
@@ -330,6 +359,30 @@ class TestSample:
         code, _, err = run_cli(["sample", "--config", str(cfg), "--out-dir", str(out_dir)], capsys)
         assert code == 2
         assert "chain.x_init" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("x_init", [[math.nan], [math.inf]], ids=["nan", "inf"])
+    def test_non_finite_x_init_is_usage_error(self, capsys, tmp_path, x_init):
+        cfg = self.make_config(tmp_path, n_chains=1)
+        data = json.loads(cfg.read_text())
+        data["chain"]["x_init"] = x_init
+        cfg.write_text(json.dumps(data))
+        out_dir = tmp_path / "o"
+        code, _, err = run_cli(["sample", "--config", str(cfg), "--out-dir", str(out_dir)], capsys)
+        assert code == 2
+        assert "x_init must be finite" in err and "chain.x_init" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "key,value", [("n_chains", -2), ("n_chains", 0), ("workers", 0), ("workers", -1)]
+    )
+    def test_chain_count_below_one_is_usage_error(self, capsys, tmp_path, key, value):
+        cfg = self.make_config(tmp_path, **{key: value})
+        out_dir = tmp_path / "o"
+        code, out, err = run_cli(["sample", "--config", str(cfg), "--out-dir", str(out_dir)], capsys)
+        assert code == 2
+        assert f"{key} must be >= 1" in err and f"chain.{key} in the config" in err
+        assert out == ""
         assert not out_dir.exists()
 
     def test_value_error_in_a_chain_is_not_a_usage_error(self, tmp_path, monkeypatch):

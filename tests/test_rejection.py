@@ -350,3 +350,10 @@ class TestRgoConfigValidation:
     def test_bad_eta(self):
         with pytest.raises(ValueError):
             RgoConfig(eta=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_eta_and_delta(self, value):
+        with pytest.raises(ValueError, match="eta must be finite"):
+            RgoConfig(eta=value)
+        with pytest.raises(ValueError, match="finite delta"):
+            RgoConfig(eta=0.5, mode="bundle", delta=value)
