@@ -103,6 +103,68 @@ class _computed_once:
         return value
 
 
+class _Sweep:
+    """The parts of g_y^eta that do not depend on y, computed once.
+
+    ``run_chain`` builds one per chain; a ``ProxObjective`` built by its
+    constructor builds its own.  ``objective(y)`` makes the objective for
+    an auxiliary point the sweep drew itself: it shares these constants,
+    skips the shape check and, given the chain's RGO ``mode``, sets
+    ``quad_center`` at once when every sweep reads it.  The formulas in y
+    (``value``, ``quad_part`` and ``quad_center``) are written here once,
+    and ``ProxObjective`` delegates to them.
+    """
+
+    __slots__ = (
+        "target", "dim", "f_value", "f_subgrad", "g_value", "eta", "eta_mu", "two_eta",
+        "half_mu", "center", "mu_center", "inv_two_eta_mu", "sqrt_eta", "sqrt_eta_mu",
+        "eager_center", "_fields",
+    )
+
+    def __init__(self, target: RegularizedTarget, eta: float, mode: Optional[str] = None):
+        base = target.base
+        self.target = target
+        self.dim = base.dim
+        self.f_value = base.value
+        self.f_subgrad = base.subgrad
+        self.g_value = target._value
+        self.eta = eta
+        self.eta_mu = eta_mu_of(eta, target.mu)
+        self.two_eta = 2.0 * eta
+        self.half_mu = 0.5 * target.mu
+        self.center = target.center
+        self.mu_center = target.mu * target.center
+        self.inv_two_eta_mu = 1.0 / (2.0 * self.eta_mu)
+        self.sqrt_eta = math.sqrt(eta)
+        self.sqrt_eta_mu = math.sqrt(self.eta_mu)
+        # the model QP reads quad_center, and so does the exact prox at mu > 0
+        self.eager_center = mode == "bundle" or (mode == "exact" and target.mu != 0.0)
+        self._fields = {"target": target, "eta": eta, "eta_mu": self.eta_mu, "_sweep": self}
+
+    def objective(self, y: Array) -> "ProxObjective":
+        """g_y^eta at a shape-(dim,) float array y, without the constructor's checks."""
+        obj = object.__new__(ProxObjective)
+        fields = vars(obj)
+        fields.update(self._fields)
+        fields["y"] = y
+        if self.eager_center:
+            fields["quad_center"] = self.quad_center(y)
+        return obj
+
+    def value(self, x: Array, y: Array, f_x=None) -> float:
+        """g_y^eta(x) = g(x) + ||x - y||^2/(2 eta); ``f_x`` as in ``ProxObjective._value``."""
+        dy = x - y
+        return self.g_value(x, f_x) + float(dy @ dy) / self.two_eta
+
+    def quad_part(self, x: Array, y: Array) -> float:
+        dx = x - self.center
+        dy = x - y
+        return self.half_mu * float(dx @ dx) + float(dy @ dy) / self.two_eta
+
+    def quad_center(self, y: Array) -> Array:
+        return self.eta_mu * (self.mu_center + y / self.eta)
+
+
 @dataclass(frozen=True, eq=False)
 class ProxObjective:
     """The proximal target g_y^eta for a fixed prox center y.
@@ -113,23 +175,27 @@ class ProxObjective:
     eta_mu * (mu*x0 + y/eta) is the minimizer of ``quad_part``.  Both are
     plain attributes computed once per objective: ``eta_mu`` at
     construction, ``quad_center`` on its first read, since exact mode at
-    mu = 0 never reads it.
+    mu = 0 never reads it.  The constants that do not depend on y live in
+    a private ``_Sweep``, shared by all objectives of one chain.
     """
 
     target: RegularizedTarget
     eta: float
     y: Array
     eta_mu: float = field(init=False, repr=False)
+    _sweep: _Sweep = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.eta <= 0:
             raise ValueError("eta must be > 0")
         object.__setattr__(self, "y", _check_point(self.y, self.target.base.dim))
-        object.__setattr__(self, "eta_mu", eta_mu_of(self.eta, self.target.mu))
+        sweep = _Sweep(self.target, self.eta)
+        object.__setattr__(self, "_sweep", sweep)
+        object.__setattr__(self, "eta_mu", sweep.eta_mu)
 
     @_computed_once
     def quad_center(self) -> Array:
-        return self.eta_mu * (self.target.mu * self.target.center + self.y / self.eta)
+        return self._sweep.quad_center(self.y)
 
     @property
     def dim(self) -> int:
@@ -147,21 +213,20 @@ class ProxObjective:
 
         ``f_x`` is f(x) when the caller has already queried it.
         """
-        dy = x - self.y
-        return self.target._value(x, f_x) + float(dy @ dy) / (2.0 * self.eta)
+        return self._sweep.value(x, self.y, f_x)
 
     def quad_part(self, x: Array) -> float:
         """The non-plane part (mu/2)||x-x0||^2 + ||x-y||^2/(2 eta)."""
-        dx = x - self.target.center
-        dy = x - self.y
-        return 0.5 * self.target.mu * float(dx @ dx) + float(dy @ dy) / (
-            2.0 * self.eta
-        )
+        return self._sweep.quad_part(x, self.y)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class CuttingPlane:
-    """Linearization of f at ``anchor``: u -> f_val + <slope, u - anchor>."""
+    """Linearization of f at ``anchor``: u -> f_val + <slope, u - anchor>.
+
+    Like ``BundleResult``, a plain slotted record, built several times per
+    sweep and not changed after.
+    """
 
     anchor: Array
     f_val: float
@@ -180,7 +245,7 @@ def model_value(planes: Sequence[CuttingPlane], u: Array) -> float:
     return max(p(u) for p in planes)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class BundleResult:
     """Output of the cutting-plane run.
 
@@ -243,21 +308,24 @@ def solve_model_subproblem(
     the certificate gap at the solver's weights, so value - gap is the dual
     value that minorizes the model objective.
     """
-    if len(planes) == 0:
+    n = len(planes)
+    if n == 0:
         raise ValueError("need at least one cutting plane")
     c = obj.quad_center
     eta_mu = obj.eta_mu
-    if len(planes) == 1:
+    y = obj.y
+    quad_part = obj._sweep.quad_part
+    if n == 1:
         plane = planes[0]
         x = c - eta_mu * np.asarray(plane.slope, dtype=float)
-        return x, plane(x) + obj.quad_part(x), 0.0
-    if len(planes) == 2:
+        return x, plane(x) + quad_part(x, y), 0.0
+    if n == 2:
         x, top, gap = _two_plane_dual(planes[0], planes[1], c, eta_mu)
-        return x, top + obj.quad_part(x), gap
+        return x, top + quad_part(x, y), gap
     S = np.stack([p.slope for p in planes])
     b = np.array([p.offset for p in planes])
     x, gap, _ = _active_set_dual(S, b, c, eta_mu, gap_tol, DUAL_MAX_ITER)
-    value = model_value(planes, x) + obj.quad_part(x)
+    value = model_value(planes, x) + quad_part(x, y)
     return x, value, gap
 
 
@@ -493,25 +561,25 @@ def prox_bundle(
         raise ValueError("delta must be > 0")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    f = obj.target.base
+    sweep = obj._sweep
+    f_value, f_subgrad, value = sweep.f_value, sweep.f_subgrad, sweep.value
     gap_tol = min(delta / 100.0, 1e-10)
 
     # each point gets one value query, shared by its plane and its objective
     y = obj.y
-    f_y = f.value(y)
+    f_y = f_value(y)
     x_prev = y
-    planes = [CuttingPlane(anchor=y, f_val=f_y, slope=f.subgrad(y))]
+    planes = [CuttingPlane(y, f_y, f_subgrad(y))]
     oracle_calls = 1
     x_best = y
-    best_value = obj._value(y, f_y)
+    best_value = value(y, y, f_y)
 
-    gaps = []
-    step_norms = []
-    model_points = []
+    if record:
+        gaps, step_norms, model_points = [], [], []
     for j in range(1, max_iter + 1):
-        x_j, m_j, qp_gap = solve_model_subproblem(planes, obj, gap_tol=gap_tol)
-        f_j = f.value(x_j)
-        val_j = obj._value(x_j, f_j)
+        x_j, m_j, qp_gap = solve_model_subproblem(planes, obj, gap_tol)
+        f_j = f_value(x_j)
+        val_j = value(x_j, y, f_j)
         if val_j < best_value:
             x_best = x_j
             best_value = val_j
@@ -524,17 +592,9 @@ def prox_bundle(
             x_prev = x_j
         if t_j <= delta or j == max_iter:
             break
-        planes.append(CuttingPlane(anchor=x_j, f_val=f_j, slope=f.subgrad(x_j)))
+        planes.append(CuttingPlane(x_j, f_j, f_subgrad(x_j)))
         oracle_calls += 1
 
-    trajectory = {}
-    if record:
-        trajectory = dict(
-            gaps=tuple(gaps),
-            step_norms=tuple(step_norms),
-            model_points=tuple(model_points),
-            planes=tuple(planes),
-        )
     res = BundleResult(
         x_model=x_j,
         x_best=x_best,
@@ -545,8 +605,12 @@ def prox_bundle(
         model_value=m_j,
         delta=delta,
         qp_gap=qp_gap,
-        **trajectory,
     )
+    if record:
+        res.gaps = tuple(gaps)
+        res.step_norms = tuple(step_norms)
+        res.model_points = tuple(model_points)
+        res.planes = tuple(planes)
     if t_j <= delta:
         return res
     raise BundleLimitError(

@@ -19,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .bundle import ProxObjective, SamplerError, eta_mu_of
-from .potentials import Array, Potential, RegularizedTarget, SmoothnessProfile
+from .bundle import SamplerError, _Sweep, eta_mu_of
+from .potentials import Array, Potential, RegularizedTarget, SmoothnessProfile, _check_point
 from .quadrature import QuadratureDensity
 from .rejection import (
     RgoConfig,
@@ -53,8 +53,8 @@ class ChainConfig:
     def __post_init__(self):
         if self.n_iters < 0:
             raise ValueError("n_iters must be >= 0")
-        if self.mu < 0:
-            raise ValueError("mu must be >= 0")
+        if not 0 <= self.mu < math.inf:
+            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
         if self.regime not in REGIMES:
             raise ValueError(f"regime must be one of {REGIMES}")
         object.__setattr__(self, "center_x0", tuple(float(v) for v in self.center_x0))
@@ -265,16 +265,21 @@ def gibbs_step(
     target: RegularizedTarget,
     rgo_cfg: RgoConfig,
     rng: np.random.Generator,
+    _sweep: Optional[_Sweep] = None,
 ):
     """One sweep: y_k = x_k + sqrt(eta) z, then x_{k+1} from the inner oracle.
 
     A ``SamplerError`` of the inner oracle is re-raised with y added to its
     ``context``.  No step-size check: ``run_chain`` makes it once per chain.
+    A caller that runs many sweeps may pass ``_sweep``, the constants of
+    (target, eta) built once, with x_k a shape-(dim,) float array.
     """
-    y = x_k + math.sqrt(rgo_cfg.eta) * rng.standard_normal(x_k.shape[0])
-    obj = ProxObjective(target=target, eta=rgo_cfg.eta, y=y)
+    if _sweep is None:
+        _sweep = _Sweep(target, rgo_cfg.eta, rgo_cfg.mode)
+        x_k = _check_point(x_k, _sweep.dim)
+    y = x_k + _sweep.sqrt_eta * rng.standard_normal(_sweep.dim)
     try:
-        sample = rgo_sample(obj, rgo_cfg, rng)
+        sample = rgo_sample(_sweep.objective(y), rgo_cfg, rng)
     except SamplerError as err:
         err.context["y"] = y.tolist()
         raise
@@ -292,7 +297,8 @@ def run_chain(
     eta mu) fails the profile's step-size guard.  A ``SamplerError`` (a
     bundle, model QP or rejection cap reached) is re-raised with the step
     and the seed added to its ``context``, next to the auxiliary point y
-    that ``gibbs_step`` adds.
+    that ``gibbs_step`` adds.  The constants of the sweep are computed once
+    per chain, before the first sweep.
     """
     d = potential.dim
     center = np.asarray(config.center_x0, dtype=float)
@@ -303,6 +309,8 @@ def run_chain(
     x = np.atleast_1d(np.asarray(x_init, dtype=float)).copy()
     if x.shape != (d,):
         raise ValueError(f"x_init has shape {x.shape}, expected ({d},)")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"x_init must be finite, got {x.tolist()}")
 
     k = config.n_iters
     if k > 0 and not step_condition_ok(eta_mu_of(config.eta, config.mu), potential.profile, d):
@@ -315,6 +323,7 @@ def run_chain(
 
     target = RegularizedTarget(potential, config.mu, center)
     rgo_cfg = config.rgo()
+    sweep = _Sweep(target, rgo_cfg.eta, rgo_cfg.mode)
     rng = np.random.default_rng(config.seed)
 
     iterates = np.empty((k + 1, d))
@@ -325,7 +334,7 @@ def run_chain(
     iterates[0] = x
     for i in range(k):
         try:
-            y, sample = gibbs_step(x, target, rgo_cfg, rng)
+            y, sample = gibbs_step(x, target, rgo_cfg, rng, sweep)
         except SamplerError as err:
             err.context.update(step=i, seed=config.seed)
             raise

@@ -218,6 +218,10 @@ def cmd_sample(args) -> int:
         workers = int(csec["workers"])
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+    with _config_keys("chain.n_iters"):
+        n_iters = int(csec["n_iters"])
+        if n_iters < 1:
+            raise ValueError(f"n_iters must be >= 1, got {n_iters}")
     with _config_keys("chain, regime.mu"):
         chain_cfgs = [
             ChainConfig(
@@ -225,7 +229,7 @@ def cmd_sample(args) -> int:
                 delta=p["delta"],
                 mu=p["mu"],
                 center_x0=tuple(float(v) for v in center),
-                n_iters=int(csec["n_iters"]),
+                n_iters=n_iters,
                 seed=int(csec["seed"]) + i,
                 target_eps=cfg["regime"].get("eps"),
                 regime=p["kind"],
@@ -286,12 +290,12 @@ def cmd_sample(args) -> int:
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
-    steps = max(1, n_chains * int(csec["n_iters"]))
+    steps = n_chains * n_iters
     bound = p["bound"]
     chain_means = [t.totals()["proposals_per_step"] for t in traces]
     summary = {
         "n_chains": n_chains,
-        "n_iters": int(csec["n_iters"]),
+        "n_iters": n_iters,
         "mean_proposals_per_step": (totals["rejections"] + steps) / steps,
         **_distribution("proposals", [t.rejections + 1 for t in traces]),
         **_distribution("bundle_iters", [t.bundle_iters for t in traces]),

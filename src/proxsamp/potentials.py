@@ -78,13 +78,15 @@ class RegularizedTarget:
     center: Array
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError("mu must be >= 0")
+        if not 0 <= self.mu < math.inf:
+            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
         center = np.atleast_1d(np.asarray(self.center, dtype=float))
         if center.shape != (self.base.dim,):
             raise ValueError(
                 f"center has shape {center.shape}, expected ({self.base.dim},)"
             )
+        if not np.all(np.isfinite(center)):
+            raise ValueError(f"center must be finite, got {center.tolist()}")
         object.__setattr__(self, "center", center)
 
     def value(self, x: Array) -> float:

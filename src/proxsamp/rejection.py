@@ -67,9 +67,12 @@ class RgoConfig:
             raise ValueError(f"bundle mode needs a finite delta > 0, got {self.delta}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class RgoSample:
-    """Accepted point plus the diagnostics the complexity bounds constrain."""
+    """Accepted point plus the diagnostics the complexity bounds constrain.
+
+    A plain slotted record: one is built per sweep and not changed after.
+    """
 
     x: Array
     rejections: int
@@ -94,10 +97,14 @@ def lower_envelope(center: Array, offset: float, eta_mu: float) -> Callable:
     inv_two_eta_mu = 1.0 / (2.0 * eta_mu)
 
     def h1(x):
-        d = x - center
-        return float(d @ d) * inv_two_eta_mu + offset
+        return _lower_envelope_at(x, center, offset, inv_two_eta_mu)
 
     return h1
+
+
+def _lower_envelope_at(x: Array, center: Array, offset: float, inv_two_eta_mu: float) -> float:
+    d = x - center
+    return float(d @ d) * inv_two_eta_mu + offset
 
 
 def envelope_offset(best_value, model_value, qp_gap, delta):
@@ -114,7 +121,12 @@ def envelope_offset(best_value, model_value, qp_gap, delta):
     Elementwise: the arguments may be floats or arrays of one shape.
     """
     margin = _OFFSET_MARGIN * (abs(model_value) + abs(best_value))
-    return np.maximum(best_value - delta, model_value - qp_gap - margin)
+    paper, dual = best_value - delta, model_value - qp_gap - margin
+    if isinstance(paper, float) and isinstance(dual, float):
+        # np.maximum's choice, NaN and signed zeros included, without the
+        # array round trip that dominates on one sampler call's floats
+        return paper if paper > dual or paper != paper else dual
+    return np.maximum(paper, dual)
 
 
 def upper_envelope(
@@ -150,9 +162,10 @@ def prox_of_target(obj: ProxObjective) -> Array:
     base = obj.target.base
     if base.prox is None:
         raise ValueError(f"potential {base.name!r} has no closed-form prox")
+    dim = base.dim
     if obj.target.mu == 0.0:
-        return _check_point(base.prox(obj.eta, obj.y), obj.dim)
-    return _check_point(base.prox(obj.eta_mu, obj.quad_center), obj.dim)
+        return _check_point(base.prox(obj.eta, obj.y), dim)
+    return _check_point(base.prox(obj.eta_mu, obj.quad_center), dim)
 
 
 def semismooth_step(alpha: float, l_alpha: float, dim: int) -> float:
@@ -217,22 +230,24 @@ def rgo_sample(
 
     The proposal is N(center, eta_mu I); acceptance is tested in log space
     (log U <= h1(X) - g_y^eta(X)) to avoid underflow, with h1 the
-    ``lower_envelope``.  In bundle mode the cutting-plane run happens once
-    per call; its model minimizer is the center and ``envelope_offset`` the
+    ``lower_envelope`` (through its helper, with the objective's per-chain
+    constants).  In bundle mode the cutting-plane run happens once per
+    call; its model minimizer is the center and ``envelope_offset`` the
     offset for all proposals.  The points this builds itself (center and
     proposals) are evaluated without shape checks.  ``MAX_REJECTIONS`` caps
     the proposals; the step-size guard is checked by ``run_chain``.
     """
-    if not math.isclose(cfg.eta, obj.eta, rel_tol=1e-12):
+    if cfg.eta != obj.eta and not math.isclose(cfg.eta, obj.eta, rel_tol=1e-12):
         raise ValueError(f"config eta {cfg.eta} differs from objective eta {obj.eta}")
-    eta_mu = obj.eta_mu
-    dim = obj.dim
+    sweep = obj._sweep
+    value = sweep.value
+    y = obj.y
 
     bundle_iters = 0
     subgrad_calls = 0
     if cfg.mode == "exact":
         center = prox_of_target(obj)
-        offset = obj._value(center)
+        offset = value(center, y)
     else:
         res: BundleResult = prox_bundle(obj, cfg.delta)
         center = res.x_model
@@ -242,11 +257,12 @@ def rgo_sample(
         bundle_iters = res.iterations
         subgrad_calls = res.oracle_calls
 
-    h1 = lower_envelope(center, offset, eta_mu)
-    scale = math.sqrt(eta_mu)
+    inv_two_eta_mu = sweep.inv_two_eta_mu
+    scale = sweep.sqrt_eta_mu
+    dim = sweep.dim
     for k in range(MAX_REJECTIONS):
         x = center + scale * rng.standard_normal(dim)
-        log_ratio = h1(x) - obj._value(x)
+        log_ratio = _lower_envelope_at(x, center, offset, inv_two_eta_mu) - value(x, y)
         if log_ratio > 1e-9:
             raise EnvelopeViolationError(
                 f"lower envelope exceeds target by {log_ratio:.3e} at a proposal; "

@@ -9,6 +9,7 @@ from proxsamp import (
     BundleLimitError,
     ChainConfig,
     MomentEstimate,
+    ProxObjective,
     RegularizedTarget,
     RgoConfig,
     default_zoo,
@@ -18,6 +19,7 @@ from proxsamp import (
     make_power_norm,
     make_quad_plus_l1,
     moment_estimate,
+    rgo_sample,
     run_chain,
     select_mu,
     select_num_iters,
@@ -347,6 +349,17 @@ class TestChain:
             ChainConfig(eta=1.0, delta=1.0, mu=-0.1, center_x0=(0.0,), n_iters=1, seed=0)
         with pytest.raises(ValueError):
             ChainConfig(eta=1.0, delta=1.0, mu=0.0, center_x0=(0.0,), n_iters=1, seed=0, regime="bad")
+        # mu = inf used to reach the model QP and exhaust its pivot budget
+        for mu in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="mu must be finite and >= 0"):
+                ChainConfig(eta=0.0625, delta=1.0, mu=mu, center_x0=(0.0,), n_iters=2, seed=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_init_rejected_before_first_sweep(self, bad):
+        pot = make_l1(1, 1.0)
+        cfg = ChainConfig(eta=0.0625, delta=1.0, mu=0.0, center_x0=(0.0,), n_iters=2, seed=0)
+        with pytest.raises(ValueError, match="x_init must be finite"):
+            run_chain(pot, cfg, x_init=[bad])
 
 
 def _trace_digest(trace):
@@ -369,9 +382,14 @@ class TestSeedReplay:
       (manifest ``envelope`` "dual-certificate;v2");
     - power_norm in bundle mode (``test_power_norm_bundle_d20``, the
       "power_norm" sweep digest), two planes per sweep: with the two-plane
-      closed form of the model QP, which moved the last bits of x_model.
+      closed form of the model QP, which moved the last bits of x_model;
+    - the active-set QP, exact mode at mu = 0, the two-plane step with mu > 0
+      off-centre, and direct ``rgo_sample`` calls alternating modes
+      (``test_gaussian_bundle_active_set_d5`` to
+      ``test_rgo_sample_alternating_modes``): before the per-chain sweep
+      constants, which left every pin here unchanged.
 
-    The digests cover iterates, aux, rejections, bundle_iters and
+    The chain digests cover iterates, aux, rejections, bundle_iters and
     subgrad_calls."""
 
     def test_l1_bundle_regularized(self):
@@ -421,6 +439,79 @@ class TestSeedReplay:
         assert trace.final.tolist() == [float.fromhex(h) for h in expected]
         assert trace.rejections.tolist() == [0, 1, 0, 0, 0, 0, 0, 1, 0, 3]
         assert _trace_digest(trace) == "700d4d25107d8ddc2e6b28d92f4ce5eda775b3b7abf311261f8a2aa5c9b45779"
+
+    def test_gaussian_bundle_active_set_d5(self):
+        # delta = 1e-6 forces five bundle iterations, so the model QP of the
+        # last three runs the active-set solver
+        pot = make_gaussian(5, np.ones(5))
+        eta, _ = select_params_composite(pot.profile, 5)
+        cfg = ChainConfig(
+            eta=eta, delta=1e-6, mu=0.0, center_x0=(0.0,) * 5, n_iters=8, seed=41, regime="composite"
+        )
+        trace = run_chain(pot, cfg, x_init=np.linspace(-1.0, 1.0, 5))
+        expected = [
+            "-0x1.b6d4ab3a685a8p+0", "-0x1.e677c5faf8342p-1", "-0x1.d0c7b1906923ap-1",
+            "0x1.622a8d72795b6p-1", "-0x1.33b731a53d0a7p-3",
+        ]
+        assert trace.final.tolist() == [float.fromhex(h) for h in expected]
+        assert trace.rejections.tolist() == [2, 1, 0, 1, 0, 1, 0, 0]
+        assert trace.bundle_iters.tolist() == [5] * 8
+        assert _trace_digest(trace) == "86545bdb565acf85bb8f2061796eab44b6cb9b0897ebd98129b61992958eed22"
+
+    def test_l1_exact_unregularized(self):
+        # the path of the stationarity and tv-decay suites: exact mode, mu = 0
+        pot = make_l1(1, 1.0)
+        eta, _ = select_params_composite(pot.profile, 1)
+        cfg = ChainConfig(
+            eta=eta, delta=1.0, mu=0.0, center_x0=(0.0,), n_iters=12, seed=22,
+            regime="composite", rgo_mode="exact",
+        )
+        trace = run_chain(pot, cfg, x_init=np.array([3.0]))
+        expected = [
+            "0x1.8000000000000p+1", "0x1.24bf76d0b2678p+1", "0x1.37228b574619ep+1",
+            "0x1.75bdb64b38434p+1", "0x1.666b34e6175abp+1", "0x1.bfef09e2d300dp+1",
+            "0x1.8d8caa213e79ap+1", "0x1.550048b27bc2dp+1", "0x1.3d18bd4cabf11p+1",
+            "0x1.080e9537244a5p+1", "0x1.d17a2cb2a251cp+0", "0x1.090ab1ca1d476p+1",
+            "0x1.c869510161637p+0",
+        ]
+        assert trace.iterates[:, 0].tolist() == [float.fromhex(h) for h in expected]
+        assert trace.rejections.tolist() == [0] * 12
+        assert _trace_digest(trace) == "0fa8f7c408f3bfd3eec66a14762d0f4e0fd897e4761d75bb5d9095a7be101aa5"
+
+    def test_power_norm_bundle_regularized_off_centre(self):
+        # mu > 0 and a non-zero centre enter the shifted prox centre; delta =
+        # 1e-3 makes every sweep a two-plane step
+        pot = make_power_norm(5, 0.5)
+        eta, _ = select_params_semismooth(pot.profile, 5)
+        cfg = ChainConfig(
+            eta=eta, delta=1e-3, mu=0.3, center_x0=(0.5, -0.25, 0.0, 0.25, -0.5), n_iters=10, seed=17
+        )
+        trace = run_chain(pot, cfg, x_init=np.linspace(-1.0, 1.0, 5))
+        expected = [
+            "0x1.42c37396a740ap-1", "-0x1.ccf7931562d53p+0", "0x1.0f77e64a293bdp-1",
+            "-0x1.ed655412a8b7cp-1", "0x1.1e0779abcc4dap-1",
+        ]
+        assert trace.final.tolist() == [float.fromhex(h) for h in expected]
+        assert trace.bundle_iters.tolist() == [2] * 10
+        assert trace.subgrad_calls.tolist() == [2] * 10
+        assert _trace_digest(trace) == "4b71d3762f08ec8184dc47e32bd3339a902388e32de96ad5ee2958ecf479c6e8"
+
+    def test_rgo_sample_alternating_modes(self):
+        # A8's call pattern: one objective, one Generator, exact and bundle
+        # calls in turn
+        pot = make_l1(1, 1.0)
+        eta, delta = select_params_semismooth(pot.profile, 1)
+        obj = ProxObjective(RegularizedTarget(pot, 0.0, np.zeros(1)), eta, np.array([0.7]))
+        cfgs = (RgoConfig(eta=eta, mode="exact"), RgoConfig(eta=eta, delta=delta, mode="bundle"))
+        rng = np.random.default_rng(23)
+        h = hashlib.sha256()
+        counts = []
+        for i in range(200):
+            s = rgo_sample(obj, cfgs[i % 2], rng)
+            h.update(np.array([*s.x, *s.center, s.envelope_offset, s.log_accept_ratio], dtype="<f8").tobytes())
+            counts.append((s.rejections, s.bundle_iters, s.subgrad_calls))
+        h.update(np.array(counts, dtype="<i8").tobytes())
+        assert h.hexdigest() == "240bf13dd9cfa263fc5ec3cefc3711b76430e904b5f8f9b67cc7d4794fa4d59a"
 
     SWEEP_DIGESTS = {
         "l1": "9f97e51f32424eb991925b1d61e7300775a069bdeaaf702751c24167831ac2ef",

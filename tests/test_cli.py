@@ -205,14 +205,14 @@ class TestParams:
 
 
 class TestSample:
-    def make_config(self, tmp_path, n_chains=3, workers=1):
+    def make_config(self, tmp_path, n_chains=3, workers=1, n_iters=40):
         cfg = tmp_path / "c.json"
         cfg.write_text(
             json.dumps(
                 {
                     "target": {"name": "l1", "dim": 1, "params": {"scale": 1.0}},
                     "regime": {"kind": "semi-smooth", "eps": 0.2, "rgo_mode": "bundle"},
-                    "chain": {"n_iters": 40, "n_chains": n_chains, "seed": 3, "workers": workers},
+                    "chain": {"n_iters": n_iters, "n_chains": n_chains, "seed": 3, "workers": workers},
                 }
             )
         )
@@ -374,7 +374,8 @@ class TestSample:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
-        "key,value", [("n_chains", -2), ("n_chains", 0), ("workers", 0), ("workers", -1)]
+        "key,value",
+        [("n_chains", -2), ("n_chains", 0), ("workers", 0), ("workers", -1), ("n_iters", 0), ("n_iters", -1)],
     )
     def test_chain_count_below_one_is_usage_error(self, capsys, tmp_path, key, value):
         cfg = self.make_config(tmp_path, **{key: value})

@@ -44,3 +44,34 @@ def test_workload_runs_under_tracer(perfbench, tmp_path, name):
         assert (res["failed"], res["error"]) == (0, None)
         assert res["sweeps"] > 0
         assert tracing.GIBBS in tracer.names
+
+
+def test_laplace_sweeps_keep_every_layer_span(perfbench, tmp_path):
+    # each sweep must still pass through the traced layer boundaries, or the
+    # per-layer figures of a benchmark run silently lose a layer
+    tracing, workloads = perfbench
+    work = workloads.LaplaceA1(0, str(tmp_path))
+    work.KEEP = 1
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        state = work.setup(tracer)
+        state["burn"] = 3
+        res = work.round(1, state)
+    finally:
+        tracer.restore()
+    assert (res["failed"], res["error"]) == (0, None)
+    names = [tracer.names[i] for i in tracer.name_id]
+    children = {}
+    for i, p in enumerate(tracer.parent):
+        children.setdefault(p, []).append(i)
+
+    def spans_under(i, name):
+        return [j for j in children.get(i, []) if names[j] == name]
+
+    steps = [i for i, n in enumerate(names) if n == tracing.GIBBS]
+    assert len(steps) == res["sweeps"] == 3 * work.N_CHAINS
+    for step in steps:
+        (rgo,) = spans_under(step, "rejection.rgo_sample")
+        (bundle,) = spans_under(rgo, "bundle.prox_bundle")
+        assert len(spans_under(bundle, "bundle.solve_model_subproblem")) >= 1

@@ -50,6 +50,13 @@ class TestRegularizedTarget:
         t = RegularizedTarget(make_l1(1, 1.0), 1.0, np.zeros(1))
         assert t.subgrad(np.array([-2.0]))[0] == pytest.approx(-3.0)
 
+    @pytest.mark.parametrize("mu,center", [(math.inf, 0.0), (math.nan, 0.0), (0.0, math.inf), (0.1, math.nan)])
+    def test_non_finite_weight_or_center_rejected(self, mu, center):
+        # an infinite centre used to cost a million rejected proposals in
+        # exact mode, and mu = inf a zero curvature step
+        with pytest.raises(ValueError, match="must be finite"):
+            RegularizedTarget(make_l1(1, 1.0), mu, np.array([center]))
+
     def test_dimension_mismatch(self):
         t = RegularizedTarget(make_l1(2, 1.0), 0.0, np.zeros(2))
         with pytest.raises(ValueError):
