@@ -8,7 +8,7 @@ solving each model subproblem exactly through its simplex-constrained dual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -83,45 +83,29 @@ def eta_mu_of(eta: float, mu: float, l_one: float = 0.0) -> float:
     return eta / (1.0 + eta * mu + eta * l_one)
 
 
-class _computed_once:
-    """A method read as an attribute, computed on the first read only.
+class ProxObjective:
+    """The proximal target g_y^eta for a prox center y.
 
-    The value is stored in the instance ``__dict__``, where it shadows this
-    non-data descriptor from then on, so later reads are plain attribute
-    reads.  Unlike ``functools.cached_property`` on Python 3.11, the first
-    read takes no lock.
-    """
+    ``eta_mu`` = eta/(1 + eta*mu) is the curvature stepsize of g_y^eta
+    (the objective is 1/eta_mu-strongly convex); ``eta_mu_l1`` additionally
+    folds in the smooth coefficient of the potential.  ``quad_center`` =
+    eta_mu * (mu*x0 + y/eta) is the minimizer of ``quad_part``, computed on
+    its first read for each y, since exact mode at mu = 0 never reads it.
 
-    def __init__(self, fn):
-        self.fn = fn
-        self.name = fn.__name__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
-class _Sweep:
-    """The parts of g_y^eta that do not depend on y, computed once.
-
-    ``run_chain`` builds one per chain; a ``ProxObjective`` built by its
-    constructor builds its own.  ``objective(y)`` makes the objective for
-    an auxiliary point the sweep drew itself: it shares these constants,
-    skips the shape check and, given the chain's RGO ``mode``, sets
-    ``quad_center`` at once when every sweep reads it.  The formulas in y
-    (``value``, ``quad_part`` and ``quad_center``) are written here once,
-    and ``ProxObjective`` delegates to them.
+    The constructor checks eta and y and computes every constant that does
+    not depend on y once.  A chain builds one objective and ``_move``s it
+    to each auxiliary point it draws.
     """
 
     __slots__ = (
         "target", "dim", "f_value", "f_subgrad", "g_value", "eta", "eta_mu", "two_eta",
         "half_mu", "center", "mu_center", "inv_two_eta_mu", "sqrt_eta", "sqrt_eta_mu",
-        "eager_center", "_fields",
+        "y", "_quad_center",
     )
 
-    def __init__(self, target: RegularizedTarget, eta: float, mode: Optional[str] = None):
+    def __init__(self, target: RegularizedTarget, eta: float, y: Array):
+        if not 0 < eta < math.inf:
+            raise ValueError(f"eta must be finite and > 0, got {eta}")
         base = target.base
         self.target = target
         self.dim = base.dim
@@ -137,69 +121,19 @@ class _Sweep:
         self.inv_two_eta_mu = 1.0 / (2.0 * self.eta_mu)
         self.sqrt_eta = math.sqrt(eta)
         self.sqrt_eta_mu = math.sqrt(self.eta_mu)
-        # the model QP reads quad_center, and so does the exact prox at mu > 0
-        self.eager_center = mode == "bundle" or (mode == "exact" and target.mu != 0.0)
-        self._fields = {"target": target, "eta": eta, "eta_mu": self.eta_mu, "_sweep": self}
+        self._move(_check_point(y, self.dim))
 
-    def objective(self, y: Array) -> "ProxObjective":
-        """g_y^eta at a shape-(dim,) float array y, without the constructor's checks."""
-        obj = object.__new__(ProxObjective)
-        fields = vars(obj)
-        fields.update(self._fields)
-        fields["y"] = y
-        if self.eager_center:
-            fields["quad_center"] = self.quad_center(y)
-        return obj
-
-    def value(self, x: Array, y: Array, f_x=None) -> float:
-        """g_y^eta(x) = g(x) + ||x - y||^2/(2 eta); ``f_x`` as in ``ProxObjective._value``."""
-        dy = x - y
-        return self.g_value(x, f_x) + float(dy @ dy) / self.two_eta
-
-    def quad_part(self, x: Array, y: Array) -> float:
-        dx = x - self.center
-        dy = x - y
-        return self.half_mu * float(dx @ dx) + float(dy @ dy) / self.two_eta
-
-    def quad_center(self, y: Array) -> Array:
-        return self.eta_mu * (self.mu_center + y / self.eta)
-
-
-@dataclass(frozen=True, eq=False)
-class ProxObjective:
-    """The proximal target g_y^eta for a fixed prox center y.
-
-    ``eta_mu`` = eta/(1 + eta*mu) is the curvature stepsize of g_y^eta
-    (the objective is 1/eta_mu-strongly convex); ``eta_mu_l1`` additionally
-    folds in the smooth coefficient of the potential.  ``quad_center`` =
-    eta_mu * (mu*x0 + y/eta) is the minimizer of ``quad_part``.  Both are
-    plain attributes computed once per objective: ``eta_mu`` at
-    construction, ``quad_center`` on its first read, since exact mode at
-    mu = 0 never reads it.  The constants that do not depend on y live in
-    a private ``_Sweep``, shared by all objectives of one chain.
-    """
-
-    target: RegularizedTarget
-    eta: float
-    y: Array
-    eta_mu: float = field(init=False, repr=False)
-    _sweep: _Sweep = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be > 0")
-        object.__setattr__(self, "y", _check_point(self.y, self.target.base.dim))
-        sweep = _Sweep(self.target, self.eta)
-        object.__setattr__(self, "_sweep", sweep)
-        object.__setattr__(self, "eta_mu", sweep.eta_mu)
-
-    @_computed_once
-    def quad_center(self) -> Array:
-        return self._sweep.quad_center(self.y)
+    def _move(self, y: Array) -> None:
+        """Set the prox center to a shape-(dim,) float array y, unchecked."""
+        self.y = y
+        self._quad_center = None
 
     @property
-    def dim(self) -> int:
-        return self.target.base.dim
+    def quad_center(self) -> Array:
+        c = self._quad_center
+        if c is None:
+            c = self._quad_center = self.eta_mu * (self.mu_center + self.y / self.eta)
+        return c
 
     @property
     def eta_mu_l1(self) -> float:
@@ -213,11 +147,14 @@ class ProxObjective:
 
         ``f_x`` is f(x) when the caller has already queried it.
         """
-        return self._sweep.value(x, self.y, f_x)
+        dy = x - self.y
+        return self.g_value(x, f_x) + float(dy @ dy) / self.two_eta
 
     def quad_part(self, x: Array) -> float:
         """The non-plane part (mu/2)||x-x0||^2 + ||x-y||^2/(2 eta)."""
-        return self._sweep.quad_part(x, self.y)
+        dx = x - self.center
+        dy = x - self.y
+        return self.half_mu * float(dx @ dx) + float(dy @ dy) / self.two_eta
 
 
 @dataclass(eq=False, slots=True)
@@ -313,19 +250,18 @@ def solve_model_subproblem(
         raise ValueError("need at least one cutting plane")
     c = obj.quad_center
     eta_mu = obj.eta_mu
-    y = obj.y
-    quad_part = obj._sweep.quad_part
+    quad_part = obj.quad_part
     if n == 1:
         plane = planes[0]
         x = c - eta_mu * np.asarray(plane.slope, dtype=float)
-        return x, plane(x) + quad_part(x, y), 0.0
+        return x, plane(x) + quad_part(x), 0.0
     if n == 2:
         x, top, gap = _two_plane_dual(planes[0], planes[1], c, eta_mu)
-        return x, top + quad_part(x, y), gap
+        return x, top + quad_part(x), gap
     S = np.stack([p.slope for p in planes])
     b = np.array([p.offset for p in planes])
     x, gap, _ = _active_set_dual(S, b, c, eta_mu, gap_tol, DUAL_MAX_ITER)
-    value = model_value(planes, x) + quad_part(x, y)
+    value = model_value(planes, x) + quad_part(x)
     return x, value, gap
 
 
@@ -557,12 +493,11 @@ def prox_bundle(
     Reaching ``max_iter`` above delta raises ``BundleLimitError`` with the
     result, one oracle call per iteration.  ``record`` keeps the per-iteration trajectory in the result.
     """
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    sweep = obj._sweep
-    f_value, f_subgrad, value = sweep.f_value, sweep.f_subgrad, sweep.value
+    f_value, f_subgrad, value = obj.f_value, obj.f_subgrad, obj._value
     gap_tol = min(delta / 100.0, 1e-10)
 
     # each point gets one value query, shared by its plane and its objective
@@ -572,14 +507,14 @@ def prox_bundle(
     planes = [CuttingPlane(y, f_y, f_subgrad(y))]
     oracle_calls = 1
     x_best = y
-    best_value = value(y, y, f_y)
+    best_value = value(y, f_y)
 
     if record:
         gaps, step_norms, model_points = [], [], []
     for j in range(1, max_iter + 1):
         x_j, m_j, qp_gap = solve_model_subproblem(planes, obj, gap_tol)
         f_j = f_value(x_j)
-        val_j = value(x_j, y, f_j)
+        val_j = value(x_j, f_j)
         if val_j < best_value:
             x_best = x_j
             best_value = val_j

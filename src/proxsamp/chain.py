@@ -19,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .bundle import SamplerError, _Sweep, eta_mu_of
-from .potentials import Array, Potential, RegularizedTarget, SmoothnessProfile, _check_point
+from .bundle import ProxObjective, SamplerError, eta_mu_of
+from .potentials import Array, Potential, RegularizedTarget, SmoothnessProfile
 from .quadrature import QuadratureDensity
 from .rejection import (
     RgoConfig,
@@ -262,24 +262,21 @@ def select_num_iters(
 
 def gibbs_step(
     x_k: Array,
-    target: RegularizedTarget,
+    obj: ProxObjective,
     rgo_cfg: RgoConfig,
     rng: np.random.Generator,
-    _sweep: Optional[_Sweep] = None,
 ):
     """One sweep: y_k = x_k + sqrt(eta) z, then x_{k+1} from the inner oracle.
 
-    A ``SamplerError`` of the inner oracle is re-raised with y added to its
-    ``context``.  No step-size check: ``run_chain`` makes it once per chain.
-    A caller that runs many sweeps may pass ``_sweep``, the constants of
-    (target, eta) built once, with x_k a shape-(dim,) float array.
+    ``obj`` is the chain's objective g_y^eta, moved to the drawn y_k;
+    x_k is a shape-(dim,) float array.  A ``SamplerError`` of the inner
+    oracle is re-raised with y added to its ``context``.  No step-size
+    check: ``run_chain`` makes it once per chain.
     """
-    if _sweep is None:
-        _sweep = _Sweep(target, rgo_cfg.eta, rgo_cfg.mode)
-        x_k = _check_point(x_k, _sweep.dim)
-    y = x_k + _sweep.sqrt_eta * rng.standard_normal(_sweep.dim)
+    y = x_k + obj.sqrt_eta * rng.standard_normal(obj.dim)
+    obj._move(y)
     try:
-        sample = rgo_sample(_sweep.objective(y), rgo_cfg, rng)
+        sample = rgo_sample(obj, rgo_cfg, rng)
     except SamplerError as err:
         err.context["y"] = y.tolist()
         raise
@@ -297,8 +294,8 @@ def run_chain(
     eta mu) fails the profile's step-size guard.  A ``SamplerError`` (a
     bundle, model QP or rejection cap reached) is re-raised with the step
     and the seed added to its ``context``, next to the auxiliary point y
-    that ``gibbs_step`` adds.  The constants of the sweep are computed once
-    per chain, before the first sweep.
+    that ``gibbs_step`` adds.  The chain's one ``ProxObjective`` is built
+    before the first sweep, so its constants are computed once.
     """
     d = potential.dim
     center = np.asarray(config.center_x0, dtype=float)
@@ -321,9 +318,8 @@ def run_chain(
             stacklevel=2,
         )
 
-    target = RegularizedTarget(potential, config.mu, center)
     rgo_cfg = config.rgo()
-    sweep = _Sweep(target, rgo_cfg.eta, rgo_cfg.mode)
+    obj = ProxObjective(RegularizedTarget(potential, config.mu, center), rgo_cfg.eta, x)
     rng = np.random.default_rng(config.seed)
 
     iterates = np.empty((k + 1, d))
@@ -334,7 +330,7 @@ def run_chain(
     iterates[0] = x
     for i in range(k):
         try:
-            y, sample = gibbs_step(x, target, rgo_cfg, rng, sweep)
+            y, sample = gibbs_step(x, obj, rgo_cfg, rng)
         except SamplerError as err:
             err.context.update(step=i, seed=config.seed)
             raise

@@ -230,7 +230,7 @@ def rgo_sample(
 
     The proposal is N(center, eta_mu I); acceptance is tested in log space
     (log U <= h1(X) - g_y^eta(X)) to avoid underflow, with h1 the
-    ``lower_envelope`` (through its helper, with the objective's per-chain
+    ``lower_envelope`` (through its helper, with the objective's
     constants).  In bundle mode the cutting-plane run happens once per
     call; its model minimizer is the center and ``envelope_offset`` the
     offset for all proposals.  The points this builds itself (center and
@@ -239,15 +239,13 @@ def rgo_sample(
     """
     if cfg.eta != obj.eta and not math.isclose(cfg.eta, obj.eta, rel_tol=1e-12):
         raise ValueError(f"config eta {cfg.eta} differs from objective eta {obj.eta}")
-    sweep = obj._sweep
-    value = sweep.value
-    y = obj.y
+    value = obj._value
 
     bundle_iters = 0
     subgrad_calls = 0
     if cfg.mode == "exact":
         center = prox_of_target(obj)
-        offset = value(center, y)
+        offset = value(center)
     else:
         res: BundleResult = prox_bundle(obj, cfg.delta)
         center = res.x_model
@@ -257,12 +255,12 @@ def rgo_sample(
         bundle_iters = res.iterations
         subgrad_calls = res.oracle_calls
 
-    inv_two_eta_mu = sweep.inv_two_eta_mu
-    scale = sweep.sqrt_eta_mu
-    dim = sweep.dim
+    inv_two_eta_mu = obj.inv_two_eta_mu
+    scale = obj.sqrt_eta_mu
+    dim = obj.dim
     for k in range(MAX_REJECTIONS):
         x = center + scale * rng.standard_normal(dim)
-        log_ratio = _lower_envelope_at(x, center, offset, inv_two_eta_mu) - value(x, y)
+        log_ratio = _lower_envelope_at(x, center, offset, inv_two_eta_mu) - value(x)
         if log_ratio > 1e-9:
             raise EnvelopeViolationError(
                 f"lower envelope exceeds target by {log_ratio:.3e} at a proposal; "

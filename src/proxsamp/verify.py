@@ -16,7 +16,6 @@ import numpy as np
 
 from .bundle import (
     ProxObjective,
-    _Sweep,
     gap_start_bound,
     iteration_bound_composite,
     iteration_bound_semismooth,
@@ -190,9 +189,8 @@ def suite_stationarity(n: int = 20000) -> CheckReport:
     entries = []
     for name, pot, seed, cdf in cases:
         eta, _ = select_params_composite(pot.profile, 1)
-        target = RegularizedTarget(pot, 0.0, np.zeros(1))
+        obj = ProxObjective(RegularizedTarget(pot, 0.0, np.zeros(1)), eta, np.zeros(1))
         cfg = RgoConfig(eta=eta, mode="exact")
-        sweep = _Sweep(target, eta, cfg.mode)
         rng = np.random.default_rng(seed)
         if name == "gaussian":
             x0 = pot.sample_exact(rng, n)
@@ -200,7 +198,7 @@ def suite_stationarity(n: int = 20000) -> CheckReport:
             x0 = _laplace_quantile(rng.random(n))[:, None]
         out = np.empty(n)
         for i in range(n):
-            _, s = gibbs_step(x0[i], target, cfg, rng, sweep)
+            _, s = gibbs_step(x0[i], obj, cfg, rng)
             out[i] = s.x[0]
         entries.append({"target": name, "ks": ks_1samp(out, cdf), "critical_1pct": crit})
     passed = all(e["ks"] < crit for e in entries)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from proxsamp import (
     DualSolverError,
     ProxObjective,
     RegularizedTarget,
+    RgoConfig,
     default_zoo,
     envelope_offset,
     gap_start_bound,
@@ -19,7 +21,9 @@ from proxsamp import (
     make_l1,
     make_power_norm,
     prox_bundle,
+    rgo_sample,
     run_chain,
+    select_params_composite,
     select_params_semismooth,
     solve_model_subproblem,
 )
@@ -325,6 +329,48 @@ class TestUncheckedPaths:
             res = prox_bundle(obj, delta=1e-3)
             assert len(calls) == res.iterations + 1
 
+    @pytest.mark.parametrize("name", ["l1", "power_norm", "quad_plus_l1", "hinge_sum", "gaussian"])
+    @pytest.mark.parametrize("mu", [0.0, 0.4])
+    def test_moved_objective_matches_fresh(self, name, mu):
+        # a chain's objective is built once and moved to each y; every value
+        # read after a move must be the bits of an objective built at that y
+        dim = 3
+        pot = default_zoo(dim)[name]
+        eta, delta = select_params_composite(pot.profile, dim)
+        target = RegularizedTarget(pot, mu, np.linspace(-0.5, 0.5, dim))
+        rng = np.random.default_rng(24)
+        points = [rng.standard_normal(dim) * 2.0 for _ in range(8)]
+        moved = ProxObjective(target, eta, rng.standard_normal(dim))
+
+        def bits(*vals):
+            return np.hstack(vals).astype("<f8").tobytes()
+
+        def result_bits(res):
+            return bits(res.x_model, res.x_best, res.iterations, res.gap, res.oracle_calls,
+                        res.best_value, res.model_value, res.qp_gap)
+
+        for y in points:
+            moved._move(y)
+            fresh = ProxObjective(target, eta, y)
+            x = rng.standard_normal(dim) * 3.0
+            assert bits(moved.value(x), moved.quad_part(x)) == bits(fresh.value(x), fresh.quad_part(x))
+            assert bits(moved.quad_center) == bits(fresh.quad_center)
+            assert result_bits(prox_bundle(moved, delta)) == result_bits(prox_bundle(fresh, delta))
+
+        modes = ["bundle"] + (["exact"] if pot.prox is not None else [])
+        for mode in modes:
+            cfg = RgoConfig(eta=eta, delta=delta, mode=mode)
+            digests = []
+            for objective_at in (lambda y: moved._move(y) or moved, lambda y: ProxObjective(target, eta, y)):
+                draws = np.random.default_rng(25)
+                h = hashlib.sha256()
+                for y in points:
+                    s = rgo_sample(objective_at(y), cfg, draws)
+                    h.update(bits(s.x, s.center, s.envelope_offset, s.log_accept_ratio, s.rejections,
+                                  s.bundle_iters, s.subgrad_calls))
+                digests.append(h.hexdigest())
+            assert digests[0] == digests[1], mode
+
 
 class TestProxBundle:
     def test_l1_one_iteration_example(self):
@@ -394,6 +440,9 @@ class TestProxBundle:
         obj = make_obj(pot, 0.0, np.zeros(1), 0.5, [1.0])
         with pytest.raises(ValueError):
             prox_bundle(obj, delta=0.0)
+        # a NaN delta used to run all iterations before failing on "gap > nan"
+        with pytest.raises(ValueError, match="delta must be finite"):
+            prox_bundle(obj, delta=math.nan)
 
 
 def reconstruct_model(planes, j):

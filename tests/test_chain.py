@@ -228,14 +228,14 @@ class TestChain:
 
         pot = make_zero(1)
         eta = 0.7
-        target = RegularizedTarget(pot, 0.0, np.zeros(1))
+        obj = ProxObjective(RegularizedTarget(pot, 0.0, np.zeros(1)), eta, np.zeros(1))
         cfg = RgoConfig(eta=eta, mode="exact")
         rng = np.random.default_rng(3)
         n = 20000
         x0 = np.array([1.3])
         out = np.empty(n)
         for i in range(n):
-            _, s = gibbs_step(x0, target, cfg, rng)
+            _, s = gibbs_step(x0, obj, cfg, rng)
             out[i] = s.x[0]
         from scipy.special import ndtr
 
@@ -246,14 +246,14 @@ class TestChain:
     def test_gaussian_stationary_one_step(self):
         pot = make_gaussian(1, (1.0,))
         eta = 1.0
-        target = RegularizedTarget(pot, 0.0, np.zeros(1))
+        obj = ProxObjective(RegularizedTarget(pot, 0.0, np.zeros(1)), eta, np.zeros(1))
         cfg = RgoConfig(eta=eta, mode="exact")
         rng = np.random.default_rng(4)
         n = 20000
         x0 = pot.sample_exact(rng, n)
         out = np.empty(n)
         for i in range(n):
-            _, s = gibbs_step(x0[i], target, cfg, rng)
+            _, s = gibbs_step(x0[i], obj, cfg, rng)
             out[i] = s.x[0]
         from scipy.special import ndtr
 
@@ -262,7 +262,7 @@ class TestChain:
 
     def test_gaussian_stationary_after_fifty_steps(self):
         pot = make_gaussian(1, (1.0,))
-        target = RegularizedTarget(pot, 0.0, np.zeros(1))
+        obj = ProxObjective(RegularizedTarget(pot, 0.0, np.zeros(1)), 1.0, np.zeros(1))
         cfg = RgoConfig(eta=1.0, mode="exact")
         n = 3000
         rng = np.random.default_rng(5)
@@ -271,7 +271,7 @@ class TestChain:
         for i in range(n):
             x = x0[i]
             for _ in range(50):
-                _, s = gibbs_step(x, target, cfg, rng)
+                _, s = gibbs_step(x, obj, cfg, rng)
                 x = s.x
             out[i] = x[0]
         from scipy.special import ndtr
@@ -535,12 +535,12 @@ class TestSeedReplay:
             pot = make_gaussian(3, (1.0, 2.0, 4.0))
             eta, delta = 0.08, 0.0
             mu, center, mode, x, seed, n = 0.1, [0.5, 0.0, -0.5], "exact", np.zeros(3), 5, 50
-        target = RegularizedTarget(pot, mu, np.asarray(center, dtype=float))
+        obj = ProxObjective(RegularizedTarget(pot, mu, np.asarray(center, dtype=float)), eta, x)
         cfg = RgoConfig(eta=eta, delta=delta, mode=mode)
         rng = np.random.default_rng(seed)
         h = hashlib.sha256()
         for _ in range(n):
-            y, s = gibbs_step(x, target, cfg, rng)
+            y, s = gibbs_step(x, obj, cfg, rng)
             x = s.x
             vals = np.array([*y, *s.x, *s.center, s.envelope_offset, s.log_accept_ratio], dtype="<f8")
             h.update(vals.tobytes())

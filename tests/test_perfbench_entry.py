@@ -75,3 +75,17 @@ def test_laplace_sweeps_keep_every_layer_span(perfbench, tmp_path):
         (rgo,) = spans_under(step, "rejection.rgo_sample")
         (bundle,) = spans_under(rgo, "bundle.prox_bundle")
         assert len(spans_under(bundle, "bundle.solve_model_subproblem")) >= 1
+
+
+def test_verify_all_counts_one_sweep_per_stationarity_draw(perfbench, tmp_path, monkeypatch):
+    # verify-all's steps/s counts the sweeps where verify calls gibbs_step;
+    # the stationarity suite must make one call per draw for that to hold
+    import proxsamp.verify as verify
+
+    _, workloads = perfbench
+    monkeypatch.setattr(verify, "gibbs_step", verify.gibbs_step)
+    monkeypatch.setattr(verify, "run_chain", verify.run_chain)
+    work = workloads.VerifyAll(0, str(tmp_path))
+    work._count_calls()
+    verify.suite_stationarity(n=50)
+    assert work.counts == {"gibbs_step": 100, "run_chain": 0, "run_chain_sweeps": 0}

@@ -288,13 +288,13 @@ class TestRgoSample:
         assert count_warnings(lambda: run_chain(pot, config(1.0))) == 1
         assert count_warnings(lambda: [run_chain(pot, config(1.0)) for _ in range(3)]) == 3
         # at eta = 1 the guard 1/16 fails: sweeps and oracle calls stay silent
-        target = RegularizedTarget(pot, 0.0, np.zeros(1))
+        obj = l1_objective(1.0, 0.5)
         cfg = RgoConfig(eta=1.0, mode="exact")
         rng = np.random.default_rng(9)
         with warnings.catch_warnings():
             warnings.simplefilter("error", StepSizeWarning)
-            rgo_sample(l1_objective(1.0, 0.5), cfg, rng)
-            gibbs_step(np.array([0.5]), target, cfg, rng)
+            rgo_sample(obj, cfg, rng)
+            gibbs_step(np.array([0.5]), obj, cfg, rng)
 
     def test_eta_mismatch_rejected(self):
         obj = l1_objective(0.5, 1.0)
@@ -350,10 +350,15 @@ class TestRgoConfigValidation:
     def test_bad_eta(self):
         with pytest.raises(ValueError):
             RgoConfig(eta=0.0)
+        with pytest.raises(ValueError):
+            l1_objective(0.0, 1.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_eta_and_delta(self, value):
         with pytest.raises(ValueError, match="eta must be finite"):
             RgoConfig(eta=value)
+        # ProxObjective checks eta as RgoConfig does
+        with pytest.raises(ValueError, match="eta must be finite"):
+            l1_objective(value, 1.0)
         with pytest.raises(ValueError, match="finite delta"):
             RgoConfig(eta=0.5, mode="bundle", delta=value)
