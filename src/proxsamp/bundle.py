@@ -94,7 +94,10 @@ class ProxObjective:
 
     The constructor checks eta and y and computes every constant that does
     not depend on y once.  A chain builds one objective and ``_move``s it
-    to each auxiliary point it draws.
+    to each auxiliary point it draws.  Every attribute is read-only: y
+    changes only through ``_move``, which also drops the cached
+    ``quad_center``, and the constants hold for the eta and target given
+    to the constructor, so build a new objective for a new eta or target.
     """
 
     __slots__ = (

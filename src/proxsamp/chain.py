@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .bundle import ProxObjective, SamplerError, eta_mu_of
-from .potentials import Array, Potential, RegularizedTarget, SmoothnessProfile
+from .potentials import Array, Potential, RegularizedTarget, SmoothnessProfile, _check_point
 from .quadrature import QuadratureDensity
 from .rejection import (
     RgoConfig,
@@ -269,10 +269,11 @@ def gibbs_step(
     """One sweep: y_k = x_k + sqrt(eta) z, then x_{k+1} from the inner oracle.
 
     ``obj`` is the chain's objective g_y^eta, moved to the drawn y_k;
-    x_k is a shape-(dim,) float array.  A ``SamplerError`` of the inner
-    oracle is re-raised with y added to its ``context``.  No step-size
-    check: ``run_chain`` makes it once per chain.
+    x_k must have shape (dim,) (``ValueError`` otherwise).  A
+    ``SamplerError`` of the inner oracle is re-raised with y added to its
+    ``context``.  No step-size check: ``run_chain`` makes it once per chain.
     """
+    x_k = _check_point(x_k, obj.dim)
     y = x_k + obj.sqrt_eta * rng.standard_normal(obj.dim)
     obj._move(y)
     try:

@@ -361,6 +361,18 @@ class TestChain:
         with pytest.raises(ValueError, match="x_init must be finite"):
             run_chain(pot, cfg, x_init=[bad])
 
+    @pytest.mark.parametrize("mode", ["bundle", "exact"])
+    @pytest.mark.parametrize("d, x_dim", [(1, 3), (3, 1)])
+    def test_gibbs_step_rejects_wrong_shape_point(self, mode, d, x_dim):
+        # a (3,) point with d = 1 used to run silently in bundle mode, and
+        # a (1,) point with d = 3 was broadcast over all three coordinates
+        y0 = np.full(d, 0.25)
+        obj = ProxObjective(RegularizedTarget(make_l1(d, 1.0), 0.0, np.zeros(d)), 0.1, y0)
+        cfg = RgoConfig(eta=0.1, delta=0.1, mode=mode)
+        with pytest.raises(ValueError, match=rf"expected \({d},\)"):
+            gibbs_step(np.zeros(x_dim), obj, cfg, np.random.default_rng(0))
+        assert obj.y is y0
+
 
 def _trace_digest(trace):
     h = hashlib.sha256()
