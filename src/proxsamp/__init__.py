@@ -67,7 +67,6 @@ from .quadrature import QuadratureDensity, kl_divergence, modified_gaussian_rati
 from .rejection import (
     ENVELOPE_VERSION,
     EnvelopeViolationError,
-    RejectionBound,
     RejectionLimitError,
     RgoConfig,
     RgoSample,
@@ -77,6 +76,5 @@ from .rejection import (
     prox_of_target,
     rejection_bound,
     rgo_sample,
-    step_condition_ok,
     upper_envelope,
 )

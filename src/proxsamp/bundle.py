@@ -20,7 +20,7 @@ DUAL_MAX_ITER = 10_000
 
 
 class SamplerError(RuntimeError):
-    """A solver or sampler cap was reached.
+    """A solver or sampler cap was reached, or a sampler invariant broke.
 
     ``context`` says where: ``run_chain`` adds the step, the seed and the
     auxiliary point y, and ``proxsamp sample`` the chain index.  Errors
@@ -92,12 +92,13 @@ class ProxObjective:
     eta_mu * (mu*x0 + y/eta) is the minimizer of ``quad_part``, computed on
     its first read for each y, since exact mode at mu = 0 never reads it.
 
-    The constructor checks eta and y and computes every constant that does
-    not depend on y once.  A chain builds one objective and ``_move``s it
-    to each auxiliary point it draws.  Every attribute is read-only: y
-    changes only through ``_move``, which also drops the cached
-    ``quad_center``, and the constants hold for the eta and target given
-    to the constructor, so build a new objective for a new eta or target.
+    The constructor checks eta and y (finite, shape (dim,)) and computes
+    every constant that does not depend on y once.  A chain builds one
+    objective and ``_move``s it to each auxiliary point it draws.  Every
+    attribute is read-only: y changes only through ``_move``, which also
+    drops the cached ``quad_center``, and the constants hold for the eta
+    and target given to the constructor, so build a new objective for a
+    new eta or target.
     """
 
     __slots__ = (
@@ -124,7 +125,10 @@ class ProxObjective:
         self.inv_two_eta_mu = 1.0 / (2.0 * self.eta_mu)
         self.sqrt_eta = math.sqrt(eta)
         self.sqrt_eta_mu = math.sqrt(self.eta_mu)
-        self._move(_check_point(y, self.dim))
+        y = _check_point(y, self.dim)
+        if not np.isfinite(y).all():
+            raise ValueError(f"y must be finite, got {y.tolist()}")
+        self._move(y)
 
     def _move(self, y: Array) -> None:
         """Set the prox center to a shape-(dim,) float array y, unchecked."""
@@ -494,7 +498,9 @@ def prox_bundle(
     at the model minimizer.  On return, g_y^eta(x_best) - min g_y^eta <=
     gap <= delta.  Termination comparisons are absolute, no rescaling.
     Reaching ``max_iter`` above delta raises ``BundleLimitError`` with the
-    result, one oracle call per iteration.  ``record`` keeps the per-iteration trajectory in the result.
+    result, one oracle call per iteration.  A non-finite g_y^eta at y (y
+    not finite) raises ``ValueError``.  ``record`` keeps the per-iteration
+    trajectory in the result.
     """
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be finite and > 0, got {delta}")
@@ -511,6 +517,8 @@ def prox_bundle(
     oracle_calls = 1
     x_best = y
     best_value = value(y, f_y)
+    if not math.isfinite(best_value):
+        raise ValueError(f"g_y^eta is {best_value} at y = {y.tolist()}")
 
     if record:
         gaps, step_norms, model_points = [], [], []

@@ -19,15 +19,15 @@ from typing import Optional
 
 import numpy as np
 
-from .bundle import ProxObjective, SamplerError, eta_mu_of
+from .bundle import ProxObjective, SamplerError
 from .potentials import Array, Potential, RegularizedTarget, SmoothnessProfile, _check_point
 from .quadrature import QuadratureDensity
 from .rejection import (
     RgoConfig,
     StepSizeWarning,
+    rejection_bound,
     rgo_sample,
     semismooth_step,
-    step_condition_ok,
     step_guard,
 )
 
@@ -269,7 +269,8 @@ def gibbs_step(
     """One sweep: y_k = x_k + sqrt(eta) z, then x_{k+1} from the inner oracle.
 
     ``obj`` is the chain's objective g_y^eta, moved to the drawn y_k;
-    x_k must have shape (dim,) (``ValueError`` otherwise).  A
+    x_k must have shape (dim,) (``ValueError`` otherwise), and a
+    non-finite x_k makes the inner oracle raise ``ValueError`` naming y.  A
     ``SamplerError`` of the inner oracle is re-raised with y added to its
     ``context``.  No step-size check: ``run_chain`` makes it once per chain.
     """
@@ -291,11 +292,12 @@ def run_chain(
 ) -> ChainTrace:
     """Run K sweeps from x_init (default: the regularization center).
 
-    One ``StepSizeWarning`` before the first sweep when eta_mu = eta/(1 +
-    eta mu) fails the profile's step-size guard.  A ``SamplerError`` (a
-    bundle, model QP or rejection cap reached) is re-raised with the step
-    and the seed added to its ``context``, next to the auxiliary point y
-    that ``gibbs_step`` adds.  The chain's one ``ProxObjective`` is built
+    One ``StepSizeWarning`` before the first sweep when the chain's
+    ``rejection_bound`` is inf (eta_mu fails the profile's step-size
+    guard).  A ``SamplerError`` (a bundle, model QP or rejection cap
+    reached, or an envelope violation) is re-raised with the step and the
+    seed added to its ``context``, next to the auxiliary point y that
+    ``gibbs_step`` adds.  The chain's one ``ProxObjective`` is built
     before the first sweep, so its constants are computed once.
     """
     d = potential.dim
@@ -311,7 +313,8 @@ def run_chain(
         raise ValueError(f"x_init must be finite, got {x.tolist()}")
 
     k = config.n_iters
-    if k > 0 and not step_condition_ok(eta_mu_of(config.eta, config.mu), potential.profile, d):
+    rgo_cfg = config.rgo()
+    if k > 0 and math.isinf(rejection_bound(rgo_cfg, potential.profile, d, config.mu)):
         warnings.warn(
             "step size exceeds the guard for this profile; sampling is still "
             "exact but the expected-proposal bound is void",
@@ -319,7 +322,6 @@ def run_chain(
             stacklevel=2,
         )
 
-    rgo_cfg = config.rgo()
     obj = ProxObjective(RegularizedTarget(potential, config.mu, center), rgo_cfg.eta, x)
     rng = np.random.default_rng(config.seed)
 

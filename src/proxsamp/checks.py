@@ -32,13 +32,18 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
 
-def wendel_check(
-    t_grid: Sequence[float], s_grid: Sequence[float], rel_tol: float = 1e-10
-) -> CheckReport:
+# relative tolerance of ``wendel_check``, applied in log space
+WENDEL_TOL = 1e-10
+# relative tolerance of ``check_prop_key_bound``
+PROP_KEY_TOL = 1e-6
+# slack ``sandwich_suite`` allows each envelope for rounding
+SANDWICH_TOL = 1e-9
+
+
+def wendel_check(t_grid: Sequence[float], s_grid: Sequence[float]) -> CheckReport:
     """Gamma-ratio double inequality t^(1-s) <= G(t+1)/G(t+s) <= (t+s)^(1-s).
 
-    Evaluated through log-gamma; the relative tolerance is applied in log
-    space.
+    Evaluated through log-gamma, up to ``WENDEL_TOL`` in log space.
     """
     worst = -math.inf
     worst_point = None
@@ -55,19 +60,17 @@ def wendel_check(
                 worst_point = (t, s)
     return CheckReport(
         name="wendel",
-        passed=worst <= rel_tol,
+        passed=worst <= WENDEL_TOL,
         details={"worst_log_slack": worst, "worst_point": worst_point},
     )
 
 
-def check_prop_key_bound(
-    grid: Sequence[tuple], rel_tol: float = 1e-6
-) -> CheckReport:
+def check_prop_key_bound(grid: Sequence[tuple]) -> CheckReport:
     """Modified-Gaussian lower bound over a parameter grid.
 
     Each grid point (alpha, eta, a, d) must satisfy the admissibility
     condition 2 a (eta d)^((alpha+1)/2) <= 1; the check asserts
-    integral >= (2 pi eta)^(d/2) / 2 up to rel_tol.
+    integral >= (2 pi eta)^(d/2) / 2 up to ``PROP_KEY_TOL``.
     """
     entries = []
     worst = math.inf
@@ -85,7 +88,7 @@ def check_prop_key_bound(
         worst = min(worst, ratio)
     return CheckReport(
         name="prop-key",
-        passed=worst >= 1.0 - rel_tol,
+        passed=worst >= 1.0 - PROP_KEY_TOL,
         details={"worst_ratio": worst, "n_points": len(grid), "entries": entries},
     )
 
@@ -138,32 +141,29 @@ def sandwich_suite(
     probes: int,
     rng: np.random.Generator,
     bundle_result: Optional[BundleResult] = None,
-    tol: float = 1e-9,
 ) -> SandwichReport:
-    """Check lower <= g_y^eta <= upper at Gaussian probes around the center.
+    """Check lower <= g_y^eta <= upper at Gaussian probes around the center,
+    up to ``SANDWICH_TOL``.
 
-    With a bundle result the lower envelope is the one ``rgo_sample`` uses
-    in bundle mode (model center, ``envelope_offset``); otherwise the exact
-    form at the prox point.  The upper envelope always needs the true prox
-    point, taken from the closed form when available, else from a
-    high-accuracy bundle run.
+    The lower envelope is the sampler's own ``lower_envelope``: with a
+    bundle result at the model center and ``envelope_offset``, as
+    ``rgo_sample`` uses it in bundle mode; otherwise the exact form at the
+    prox point.  The upper envelope always needs the true prox point, taken
+    from the closed form when available, else from a high-accuracy bundle
+    run.
     """
-    profile = obj.target.base.profile
     if obj.target.base.prox is not None:
         xstar = prox_of_target(obj)
     else:
         xstar = prox_bundle(obj, 1e-10, max_iter=10_000).x_best
     vstar = obj.value(xstar)
-    h2 = upper_envelope(xstar, vstar, profile, obj)
 
     if bundle_result is None:
-        h1 = lower_envelope(xstar, vstar, obj.eta_mu)
-        center = xstar
+        center, offset = xstar, vstar
     else:
         res = bundle_result
-        offset = envelope_offset(res.best_value, res.model_value, res.qp_gap, res.delta)
-        h1 = lower_envelope(res.x_model, float(offset), obj.eta_mu)
         center = res.x_model
+        offset = envelope_offset(res.best_value, res.model_value, res.qp_gap, res.delta)
 
     scale = 5.0 * math.sqrt(obj.eta)
     min_lower = math.inf
@@ -171,11 +171,11 @@ def sandwich_suite(
     for _ in range(probes):
         x = center + scale * rng.standard_normal(obj.dim)
         g = obj.value(x)
-        min_lower = min(min_lower, g - h1(x))
-        min_upper = min(min_upper, h2(x) - g)
+        min_lower = min(min_lower, g - lower_envelope(x, center, offset, obj.inv_two_eta_mu))
+        min_upper = min(min_upper, upper_envelope(x, xstar, vstar, obj) - g)
     return SandwichReport(
         min_lower_slack=min_lower,
         min_upper_slack=min_upper,
         n_probes=probes,
-        passed=(min_lower >= -tol and min_upper >= -tol),
+        passed=(min_lower >= -SANDWICH_TOL and min_upper >= -SANDWICH_TOL),
     )

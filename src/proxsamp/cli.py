@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 1 check failure, 2 usage error (checked before any
 chain runs, naming the config key), 3 sampler failure (a bundle, model QP
-or rejection cap reached; the message names the chain, the step, the seed
-and y).  Configuration is a single JSON file with flat sections (target,
-regime, chain, output); every default is printable via ``proxsamp config
---defaults``.
+or rejection cap reached, or an envelope violation; the message names the
+chain, the step, the seed and y).  Configuration is a single JSON file
+with flat sections (target, regime, chain, output); every default is
+printable via ``proxsamp config --defaults``.
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ def cmd_params(args) -> int:
         ("mu", f"{mu:.10g}"),
         ("eta_mu", f"{eta_mu_of(eta, mu):.10g}"),
         ("eta_mu_l1", f"{eta_mu_of(eta, mu, profile.l_one):.10g}"),
-        ("rejection_bound", f"{bound.value:.6g} (condition_ok={bound.condition_ok})"),
+        ("rejection_bound", f"{bound:.6g} (condition_ok={math.isfinite(bound)})"),
         ("n_iters (theorem)",
          f"{p['budget'].n_iters} [{p['budget'].rule}: init={p['budget'].initial_divergence:.6g},"
          f" target={p['budget'].target:.6g}, rate={p['budget'].rate_per_iter:.6g}]"),
@@ -300,10 +300,10 @@ def cmd_sample(args) -> int:
         **_distribution("proposals", [t.rejections + 1 for t in traces]),
         **_distribution("bundle_iters", [t.bundle_iters for t in traces]),
         **_distribution("subgrad_calls", [t.subgrad_calls for t in traces]),
-        "rejection_bound": bound.value,
-        "rejection_bound_condition_ok": bound.condition_ok,
+        "rejection_bound": bound,
+        "rejection_bound_condition_ok": math.isfinite(bound),
         "chain_mean_proposals_per_step": chain_means,
-        "chain_mean_under_bound": [m <= bound.value for m in chain_means],
+        "chain_mean_under_bound": [m <= bound for m in chain_means],
         "mean_bundle_iters_per_step": totals["bundle_iters"] / steps,
         "mean_subgrad_calls_per_step": totals["subgrad_calls"] / steps,
         "wall_clock_s": wall,

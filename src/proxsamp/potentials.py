@@ -135,17 +135,21 @@ def sample_in_ball(rng: np.random.Generator, dim: int, radius: float) -> Array:
     r = radius * rng.random() ** (1.0 / dim)
     return r * z
 
+
+# largest violation ``validate_profile`` forgives as rounding
+PROFILE_TOL = 1e-8
+
+
 def validate_profile(
     p: Potential,
     n_pairs: int,
     radius: float,
     rng: np.random.Generator,
-    tol: float = 1e-8,
 ) -> ProfileReport:
     """Sample point pairs in a ball and test the declared subgradient bound.
 
     Also checks the convexity inequality f(v) >= f(u) + <f'(u), v-u> on the
-    same pairs.  Passes iff both max violations are <= tol.
+    same pairs.  Passes iff both max violations are <= ``PROFILE_TOL``.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
@@ -171,8 +175,8 @@ def validate_profile(
         max_convexity_violation=worst_convex,
         worst_pair_dist=worst_dist,
         n_pairs=n_pairs,
-        tol=tol,
-        passed=(worst_smooth <= tol and worst_convex <= tol),
+        tol=PROFILE_TOL,
+        passed=(worst_smooth <= PROFILE_TOL and worst_convex <= PROFILE_TOL),
     )
 
 

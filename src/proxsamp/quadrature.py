@@ -118,7 +118,6 @@ class QuadratureDensity:
         dim: int,
         center: Optional[Array] = None,
         n_points: Optional[int] = None,
-        threshold: float = TAIL_THRESHOLD,
     ) -> "QuadratureDensity":
         """Tabulate exp(-f) on a lattice bracketing the slices through
         ``center``; raise ``ValueError`` when the boundary cells hold more
@@ -142,7 +141,7 @@ class QuadratureDensity:
                 p[k] = t[0]
                 return f(p)
 
-            lo, hi = _expand_bounds_1d(f_axis, float(center[k]), threshold)
+            lo, hi = _expand_bounds_1d(f_axis, float(center[k]), TAIL_THRESHOLD)
             axes.append(_snapped_grid(lo, hi, float(center[k]), n))
         axes = tuple(axes)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,8 +33,9 @@ class StepSizeWarning(UserWarning):
     ``run_chain``): sampling stays exact but the proposal bound is void."""
 
 
-class EnvelopeViolationError(RuntimeError):
-    """The lower envelope exceeded the target potential (broken invariant)."""
+class EnvelopeViolationError(SamplerError):
+    """The lower envelope exceeded the target potential (broken invariant:
+    a wrong prox or profile)."""
 
 
 class RejectionLimitError(SamplerError):
@@ -83,31 +83,20 @@ class RgoSample:
     subgrad_calls: int
 
 
-def lower_envelope(center: Array, offset: float, eta_mu: float) -> Callable:
-    """Quadratic minorant ||x - center||^2/(2 eta_mu) + offset of g_y^eta.
+def lower_envelope(x: Array, center: Array, offset: float, inv_two_eta_mu: float) -> float:
+    """Quadratic minorant h1(x) = ||x - center||^2/(2 eta_mu) + offset of g_y^eta.
 
     Exact mode: center is the prox point and offset its objective value.
     Bundle mode: center is the model minimizer and offset is
     ``envelope_offset`` of the bundle result.  ``rgo_sample`` tests its
-    proposals against this function.
+    proposals against this function and the A6 sandwich probes it, both
+    with the objective's ``inv_two_eta_mu``.
     """
-    if eta_mu <= 0:
-        raise ValueError("eta_mu must be > 0")
-    center = np.asarray(center, dtype=float)
-    inv_two_eta_mu = 1.0 / (2.0 * eta_mu)
-
-    def h1(x):
-        return _lower_envelope_at(x, center, offset, inv_two_eta_mu)
-
-    return h1
-
-
-def _lower_envelope_at(x: Array, center: Array, offset: float, inv_two_eta_mu: float) -> float:
     d = x - center
     return float(d @ d) * inv_two_eta_mu + offset
 
 
-def envelope_offset(best_value, model_value, qp_gap, delta):
+def envelope_offset(best_value: float, model_value: float, qp_gap: float, delta: float) -> float:
     """Offset of the bundle-mode lower envelope centred at the model minimizer.
 
     The model objective M (cutting-plane model plus the quadratic part of
@@ -118,38 +107,26 @@ def envelope_offset(best_value, model_value, qp_gap, delta):
     is the offset, floored by the paper's best_value - delta (valid because
     the final bundle gap best_value - model_value is at most delta).  The
     offset is never below the paper's, so no proposal-count bound weakens.
-    Elementwise: the arguments may be floats or arrays of one shape.
     """
     margin = _OFFSET_MARGIN * (abs(model_value) + abs(best_value))
     paper, dual = best_value - delta, model_value - qp_gap - margin
-    if isinstance(paper, float) and isinstance(dual, float):
-        # np.maximum's choice, NaN and signed zeros included, without the
-        # array round trip that dominates on one sampler call's floats
-        return paper if paper > dual or paper != paper else dual
-    return np.maximum(paper, dual)
+    # the larger of the two; a NaN on either side propagates
+    return float(paper if paper > dual or paper != paper else dual)
 
 
-def upper_envelope(
-    xstar: Array,
-    value_at_xstar: float,
-    profile: SmoothnessProfile,
-    obj: ProxObjective,
-) -> Callable:
-    """Quadratic-plus-power majorant of g_y^eta around the true prox point.
+def upper_envelope(x: Array, xstar: Array, value_at_xstar: float, obj: ProxObjective) -> float:
+    """Quadratic-plus-power majorant h2 of g_y^eta around the true prox point.
 
     h2(x) = l_alpha/(alpha+1) ||x-x*||^(alpha+1) + ||x-x*||^2/(2 eta_mu_l1)
-    + g_y^eta(x*); analysis-side only (needs the exact x*).  With l_one = 0
-    the curvature term reduces to 1/(2 eta_mu).
+    + g_y^eta(x*), with the profile of the objective's potential;
+    analysis-side only (needs the exact x*).  With l_one = 0 the curvature
+    term reduces to 1/(2 eta_mu).
     """
-    xstar = np.asarray(xstar, dtype=float)
+    profile = obj.target.base.profile
     coef = profile.l_alpha / (profile.alpha + 1.0)
     curv = 1.0 / (2.0 * obj.eta_mu_l1)
-
-    def h2(x):
-        r = float(np.linalg.norm(np.asarray(x, dtype=float) - xstar))
-        return coef * r ** (profile.alpha + 1.0) + curv * r * r + value_at_xstar
-
-    return h2
+    r = float(np.linalg.norm(np.asarray(x, dtype=float) - xstar))
+    return coef * r ** (profile.alpha + 1.0) + curv * r * r + value_at_xstar
 
 
 def prox_of_target(obj: ProxObjective) -> Array:
@@ -185,40 +162,24 @@ def step_guard(profile: SmoothnessProfile, dim: int) -> float:
     return guard
 
 
-def step_condition_ok(
-    eta_mu: float, profile: SmoothnessProfile, dim: int
-) -> bool:
-    """Check the step-size guards under which the proposal-count bounds hold."""
-    return eta_mu <= step_guard(profile, dim) * (1.0 + 1e-12)
-
-
-class RejectionBound(NamedTuple):
-    """Theoretical expected proposals per accepted sample, with validity flag."""
-
-    value: float
-    condition_ok: bool
-
-
 def rejection_bound(
     cfg: RgoConfig, profile: SmoothnessProfile, dim: int, mu: float = 0.0
-) -> RejectionBound:
-    """Expected-proposal bound for the applicable regime.
+) -> float:
+    """Expected proposals per accepted sample for the applicable regime.
 
     Exact semi-smooth: 2.  Bundle semi-smooth: 2 exp(delta).  Smooth:
-    exp(1/2 + delta).  Composite: 2 exp(1/2 + delta).  Returns +inf with a
-    cleared flag when the step-size condition fails.
+    exp(1/2 + delta).  Composite: 2 exp(1/2 + delta).  +inf when eta_mu =
+    eta/(1 + eta mu) fails the profile's ``step_guard``: sampling stays
+    exact, but no bound applies.
     """
-    ok = step_condition_ok(eta_mu_of(cfg.eta, mu), profile, dim)
+    if not eta_mu_of(cfg.eta, mu) <= step_guard(profile, dim) * (1.0 + 1e-12):
+        return math.inf
     delta_eff = cfg.delta if cfg.mode == "bundle" else 0.0
     if profile.l_one > 0 and profile.l_alpha > 0:
-        bound = 2.0 * math.exp(0.5 + delta_eff)
-    elif profile.l_one > 0:
-        bound = math.exp(0.5 + delta_eff)
-    else:
-        bound = 2.0 * math.exp(delta_eff)
-    if not ok:
-        return RejectionBound(math.inf, False)
-    return RejectionBound(bound, True)
+        return 2.0 * math.exp(0.5 + delta_eff)
+    if profile.l_one > 0:
+        return math.exp(0.5 + delta_eff)
+    return 2.0 * math.exp(delta_eff)
 
 
 def rgo_sample(
@@ -230,12 +191,12 @@ def rgo_sample(
 
     The proposal is N(center, eta_mu I); acceptance is tested in log space
     (log U <= h1(X) - g_y^eta(X)) to avoid underflow, with h1 the
-    ``lower_envelope`` (through its helper, with the objective's
-    constants).  In bundle mode the cutting-plane run happens once per
-    call; its model minimizer is the center and ``envelope_offset`` the
-    offset for all proposals.  The points this builds itself (center and
-    proposals) are evaluated without shape checks.  ``MAX_REJECTIONS`` caps
-    the proposals; the step-size guard is checked by ``run_chain``.
+    ``lower_envelope``.  In bundle mode the cutting-plane run happens once
+    per call; its model minimizer is the center and ``envelope_offset`` the
+    offset for all proposals.  A non-finite g_y^eta at the start (y not
+    finite) raises ``ValueError``.  The points this builds itself (center
+    and proposals) are evaluated without shape checks.  ``MAX_REJECTIONS``
+    caps the proposals; the step-size guard is checked by ``run_chain``.
     """
     if cfg.eta != obj.eta and not math.isclose(cfg.eta, obj.eta, rel_tol=1e-12):
         raise ValueError(f"config eta {cfg.eta} differs from objective eta {obj.eta}")
@@ -246,12 +207,12 @@ def rgo_sample(
     if cfg.mode == "exact":
         center = prox_of_target(obj)
         offset = value(center)
+        if not math.isfinite(offset):
+            raise ValueError(f"g_y^eta is {offset} at the prox point of y = {obj.y.tolist()}")
     else:
         res: BundleResult = prox_bundle(obj, cfg.delta)
         center = res.x_model
-        offset = float(
-            envelope_offset(res.best_value, res.model_value, res.qp_gap, res.delta)
-        )
+        offset = envelope_offset(res.best_value, res.model_value, res.qp_gap, res.delta)
         bundle_iters = res.iterations
         subgrad_calls = res.oracle_calls
 
@@ -260,7 +221,7 @@ def rgo_sample(
     dim = obj.dim
     for k in range(MAX_REJECTIONS):
         x = center + scale * rng.standard_normal(dim)
-        log_ratio = _lower_envelope_at(x, center, offset, inv_two_eta_mu) - value(x)
+        log_ratio = lower_envelope(x, center, offset, inv_two_eta_mu) - value(x)
         if log_ratio > 1e-9:
             raise EnvelopeViolationError(
                 f"lower envelope exceeds target by {log_ratio:.3e} at a proposal; "

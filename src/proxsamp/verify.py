@@ -104,9 +104,9 @@ def proposal_case(name: str, pot: Potential, mode: str, n_calls: int, seed: int)
         "mode": mode,
         "dim": dim,
         "mean_proposals": mean,
-        "bound": bound.value,
+        "bound": bound,
         "slack_3sigma": slack,
-        "passed": bound.condition_ok and mean <= bound.value + slack,
+        "passed": math.isfinite(bound) and mean <= bound + slack,
     }
 
 
@@ -214,9 +214,11 @@ def _laplace_quantile(u):
     return np.where(u < 0.5, np.log(2 * u + 5e-324), -np.log(2 * (1 - u)))
 
 
-def suite_tv_decay(n_chains: int = 2000, k_max: int = 40, stride: int = 10) -> CheckReport:
-    """Histogram TV to the target every `stride` steps is non-increasing up
-    to 3 sigma of the estimator on a strongly convex 1D target."""
+def suite_tv_decay(n_chains: int = 2000) -> CheckReport:
+    """Histogram TV to the target every 10 steps up to step 40 is
+    non-increasing up to 3 sigma of the estimator on a strongly convex 1D
+    target."""
+    k_max, stride = 40, 10
     pot = make_gaussian(1, (1.0,))
     eta, _ = select_params_composite(pot.profile, 1)
     truth = QuadratureDensity.build(pot.value, 1)

@@ -308,14 +308,14 @@ class TestSample:
         eta, delta = select_params_semismooth(pot.profile, 1)
         mu = select_mu(0.2, moment_estimate(pot))
         bound = rejection_bound(RgoConfig(eta=eta, delta=delta, mode="bundle"), pot.profile, 1, mu=mu)
-        assert summary["rejection_bound"] == bound.value == 2.0 * math.exp(1.0)
+        assert summary["rejection_bound"] == bound == 2.0 * math.exp(1.0)
         assert summary["rejection_bound_condition_ok"] is True
         means = [float(np.mean(c[:, 0])) for c in per_chain]
         assert summary["chain_mean_proposals_per_step"] == pytest.approx(means)
-        assert summary["chain_mean_under_bound"] == [m <= bound.value for m in means]
+        assert summary["chain_mean_under_bound"] == [m <= bound for m in means]
 
     @pytest.mark.filterwarnings("ignore:step size exceeds the guard")
-    @pytest.mark.parametrize("cap", ["max_rejections", "max_iter"])
+    @pytest.mark.parametrize("cap", ["max_rejections", "max_iter", "envelope"])
     def test_sampler_failure_reports_context(self, capsys, tmp_path, monkeypatch, cap):
         import functools
 
@@ -328,6 +328,12 @@ class TestSample:
             target = {"name": "l1", "dim": 1, "params": {"scale": 1.0}}
             monkeypatch.setattr(rejection, "MAX_REJECTIONS", 1)
             error = "RejectionLimitError"
+        elif cap == "envelope":
+            # a prox that returns y: the envelope rises above g_y^eta
+            regime = {"kind": "semi-smooth", "eps": 0.2, "rgo_mode": "exact"}
+            target = {"name": "l1", "dim": 1, "params": {"scale": 1.0}}
+            monkeypatch.setattr(rejection, "prox_of_target", lambda obj: obj.y.copy())
+            error = "EnvelopeViolationError"
         else:
             # a gap tolerance that one bundle iteration cannot reach
             regime = {"kind": "semi-smooth", "eps": 0.2, "delta": 1e-12}

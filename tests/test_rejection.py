@@ -1,9 +1,12 @@
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
 
 from proxsamp import (
+    ChainConfig,
     EnvelopeViolationError,
     Potential,
     ProxObjective,
@@ -13,6 +16,7 @@ from proxsamp import (
     SmoothnessProfile,
     StepSizeWarning,
     envelope_offset,
+    gibbs_step,
     lower_envelope,
     make_gaussian,
     make_l1,
@@ -20,8 +24,8 @@ from proxsamp import (
     prox_of_target,
     rejection_bound,
     rgo_sample,
+    run_chain,
     select_params_semismooth,
-    step_condition_ok,
     upper_envelope,
 )
 from proxsamp.metrics import ks_1samp, ks_critical
@@ -34,10 +38,23 @@ def l1_objective(eta, y, mu=0.0, dim=1, scale=1.0):
     return ProxObjective(RegularizedTarget(pot, mu, np.zeros(dim)), eta, np.atleast_1d(np.asarray(y, dtype=float)))
 
 
+def bogus_prox_l1():
+    """l1 at d = 1 with a prox that returns y, wrong on purpose: the lower
+    envelope then rises above g_y^eta at proposals nearer 0 than y."""
+    return Potential(
+        dim=1,
+        value=lambda x: float(np.abs(x).sum()),
+        subgrad=lambda x: np.sign(np.asarray(x, dtype=float)),
+        profile=SmoothnessProfile(alpha=0.0, l_alpha=2.0),
+        prox=lambda eta, y: np.asarray(y, dtype=float),
+        name="bogus",
+    )
+
+
 class TestEnvelopes:
     def test_lower_envelope_at_center(self):
-        h1 = lower_envelope(np.zeros(2), 0.0, 1.0)
-        assert h1(np.zeros(2)) == 0.0
+        assert lower_envelope(np.zeros(2), np.zeros(2), 0.0, 0.5) == 0.0
+        assert lower_envelope(np.array([1.0, 2.0]), np.array([0.0, 2.0]), 0.25, 0.5) == 0.75
 
     def test_exact_mode_center_and_offset(self):
         obj = l1_objective(0.5, 2.0)
@@ -59,8 +76,7 @@ class TestEnvelopes:
 
     def test_upper_envelope_value_at_center(self):
         obj = l1_objective(0.5, 2.0)
-        h2 = upper_envelope(np.array([1.5]), 1.75, obj.target.base.profile, obj)
-        assert h2(np.array([1.5])) == pytest.approx(1.75)
+        assert upper_envelope(np.array([1.5]), np.array([1.5]), 1.75, obj) == pytest.approx(1.75)
 
     def test_upper_envelope_smooth_case_is_quadratic(self):
         # alpha=1 with l_alpha=0: pure quadratic of curvature 1/eta_mu_l1
@@ -68,10 +84,9 @@ class TestEnvelopes:
         obj = ProxObjective(RegularizedTarget(pot, 0.5, np.zeros(1)), 0.4, np.array([1.0]))
         xstar = prox_of_target(obj)
         v = obj.value(xstar)
-        h2 = upper_envelope(xstar, v, pot.profile, obj)
         r = 0.7
         expected = v + r**2 / (2.0 * obj.eta_mu_l1)
-        assert h2(xstar + r) == pytest.approx(expected, rel=1e-12)
+        assert upper_envelope(xstar + r, xstar, v, obj) == pytest.approx(expected, rel=1e-12)
 
     def test_prox_shift_identity_with_mu(self):
         # prox of g from prox of f must minimize g_y^eta
@@ -100,16 +115,6 @@ class TestEnvelopeOffset:
             s = rgo_sample(obj, cfg, rng)
             assert s.envelope_offset == offset
             assert s.center.tolist() == res.x_model.tolist()
-
-    def test_elementwise_on_arrays(self):
-        best = np.array([1.0, 5.0, -2.0])
-        model = np.array([0.9, 4.0, -2.5])
-        gap = np.array([0.0, 1e-11, 0.0])
-        out = envelope_offset(best, model, gap, 0.5)
-        assert out.shape == (3,)
-        for i in range(3):
-            assert out[i] == envelope_offset(best[i], model[i], gap[i], 0.5)
-        assert out[1] == 4.5 and out[2] == -2.5
 
     def test_huge_values_fall_back_to_paper_offset(self):
         # g ~ 7.6e14 at this y, where one ulp is 0.125: the rounding margin
@@ -166,8 +171,8 @@ class TestRgoSample:
             obj = ProxObjective(RegularizedTarget(pot, 0.0, np.zeros(1)), eta, y)
             counts[i] = rgo_sample(obj, cfg, rng).rejections + 1
         bound = rejection_bound(cfg, pot.profile, 1)
-        assert bound.condition_ok
-        assert counts.mean() <= bound.value + 3 * counts.std() / math.sqrt(n)
+        assert math.isfinite(bound)
+        assert counts.mean() <= bound + 3 * counts.std() / math.sqrt(n)
 
     def test_gaussian_exact_acceptance_vs_quadrature(self):
         # acceptance probability at eta = 1/d: measured, theoretical, quadrature
@@ -219,20 +224,39 @@ class TestRgoSample:
             assert s.log_accept_ratio <= 1e-9
 
     def test_envelope_violation_detected_with_bogus_prox(self):
-        bogus = Potential(
-            dim=1,
-            value=lambda x: float(np.abs(x).sum()),
-            subgrad=lambda x: np.sign(np.asarray(x, dtype=float)),
-            profile=SmoothnessProfile(alpha=0.0, l_alpha=2.0),
-            prox=lambda eta, y: np.asarray(y, dtype=float),  # wrong on purpose
-            name="bogus",
-        )
-        obj = ProxObjective(RegularizedTarget(bogus, 0.0, np.zeros(1)), 0.5, np.array([2.0]))
+        obj = ProxObjective(RegularizedTarget(bogus_prox_l1(), 0.0, np.zeros(1)), 0.5, np.array([2.0]))
         cfg = RgoConfig(eta=0.5, mode="exact")
         rng = np.random.default_rng(7)
         with pytest.raises(EnvelopeViolationError):
             for _ in range(200):
                 rgo_sample(obj, cfg, rng)
+
+    def test_envelope_violation_in_a_chain_names_step_seed_and_y(self):
+        # a sampler failure like the caps: run_chain and gibbs_step add where
+        # it happened, so ``proxsamp sample`` exits 3 with the same context
+        cfg = ChainConfig(eta=1.0 / 16.0, delta=1.0, mu=0.0, center_x0=(0.0,), n_iters=200, seed=11, rgo_mode="exact")
+        with pytest.raises(EnvelopeViolationError) as exc:
+            run_chain(bogus_prox_l1(), cfg, x_init=np.array([2.0]))
+        context = exc.value.context
+        assert set(context) == {"step", "seed", "y"}
+        assert context["seed"] == 11
+        assert f"(step {context['step']}, seed 11, y {context['y']})" in str(exc.value)
+
+    # y = inf makes inf - inf in the objective, which numpy reports before
+    # the check refuses the point
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["exact", "bundle"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_point_fails_at_once(self, mode, bad):
+        # a non-finite g_y^eta at the start of the sweep is refused before
+        # any proposal (exact mode) or model QP (bundle mode)
+        eta, delta = select_params_semismooth(make_l1(1, 1.0).profile, 1)
+        cfg = RgoConfig(eta=eta, delta=delta, mode=mode)
+        obj = l1_objective(eta, 0.0)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"g_y\^eta is nan .*y = \[(nan|inf)\]"):
+            gibbs_step(np.array([bad]), obj, cfg, np.random.default_rng(0))
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("mu", [0.0, 0.3])
     def test_prox_output_shape_checked(self, mu):
@@ -269,10 +293,6 @@ class TestRgoSample:
     def test_step_size_warning_only_when_violated(self):
         # run_chain checks the guard once per chain, before its first sweep;
         # the per-sweep layers never warn
-        import warnings
-
-        from proxsamp import ChainConfig, gibbs_step, run_chain
-
         pot = make_l1(1, 1.0)
 
         def count_warnings(fn):
@@ -305,37 +325,51 @@ class TestRgoSample:
 class TestRejectionBound:
     def test_exact_semismooth_is_two(self):
         cfg = RgoConfig(eta=1.0 / 16.0, mode="exact")
-        b = rejection_bound(cfg, make_l1(1, 1.0).profile, 1)
-        assert b.value == 2.0 and b.condition_ok
+        assert rejection_bound(cfg, make_l1(1, 1.0).profile, 1) == 2.0
 
     def test_bundle_delta_zero_continuity(self):
         cfg = RgoConfig(eta=1.0 / 16.0, delta=1e-12, mode="bundle")
-        b = rejection_bound(cfg, make_l1(1, 1.0).profile, 1)
-        assert b.value == pytest.approx(2.0, abs=1e-10)
+        assert rejection_bound(cfg, make_l1(1, 1.0).profile, 1) == pytest.approx(2.0, abs=1e-10)
 
     def test_composite_value(self):
         prof = SmoothnessProfile(alpha=0.0, l_alpha=1.0, l_one=1.0)
         eta = min(select_params_semismooth(prof, 1)[0], 1.0)
         cfg = RgoConfig(eta=min(eta, 1.0), delta=0.1, mode="bundle")
-        b = rejection_bound(cfg, prof, 1)
-        assert b.value == pytest.approx(2.0 * math.exp(0.6), rel=1e-12)
+        assert rejection_bound(cfg, prof, 1) == pytest.approx(2.0 * math.exp(0.6), rel=1e-12)
 
     def test_smooth_value(self):
         prof = make_gaussian(3, np.ones(3)).profile
         cfg = RgoConfig(eta=1.0 / 3.0, delta=0.2, mode="bundle")
-        b = rejection_bound(cfg, prof, 3)
-        assert b.value == pytest.approx(math.exp(0.7), rel=1e-12)
+        assert rejection_bound(cfg, prof, 3) == pytest.approx(math.exp(0.7), rel=1e-12)
 
     def test_violated_condition_flags_inf(self):
         cfg = RgoConfig(eta=10.0, mode="exact")
-        b = rejection_bound(cfg, make_l1(1, 1.0).profile, 1)
-        assert math.isinf(b.value) and not b.condition_ok
+        assert math.isinf(rejection_bound(cfg, make_l1(1, 1.0).profile, 1))
 
     def test_step_condition_boundary(self):
         prof = make_l1(4, 1.0).profile
-        eta, _ = select_params_semismooth(prof, 4)
-        assert step_condition_ok(eta, prof, 4)
-        assert not step_condition_ok(eta * 1.01, prof, 4)
+        eta, delta = select_params_semismooth(prof, 4)
+        for mode in ("exact", "bundle"):
+            assert math.isfinite(rejection_bound(RgoConfig(eta=eta, delta=delta, mode=mode), prof, 4))
+            assert math.isinf(rejection_bound(RgoConfig(eta=eta * 1.01, delta=delta, mode=mode), prof, 4))
+
+    def test_guard_holds_for_eta_mu_not_eta(self):
+        # l1 at d = 1 has guard 1/16; eta = 0.07 exceeds it, but at mu = 2
+        # eta_mu = 0.07/1.14 = 0.0614 does not, and run_chain agrees
+        pot = make_l1(1, 1.0)
+        cfg = RgoConfig(eta=0.07, mode="exact")
+
+        def chain(mu):
+            config = ChainConfig(eta=0.07, delta=1.0, mu=mu, center_x0=(0.0,), n_iters=3, seed=10, rgo_mode="exact")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run_chain(pot, config)
+            return sum(issubclass(w.category, StepSizeWarning) for w in caught)
+
+        assert math.isinf(rejection_bound(cfg, pot.profile, 1, mu=0.0))
+        assert chain(0.0) == 1
+        assert rejection_bound(cfg, pot.profile, 1, mu=2.0) == 2.0
+        assert chain(2.0) == 0
 
 
 class TestRgoConfigValidation:
@@ -362,3 +396,6 @@ class TestRgoConfigValidation:
             l1_objective(value, 1.0)
         with pytest.raises(ValueError, match="finite delta"):
             RgoConfig(eta=0.5, mode="bundle", delta=value)
+        # and ProxObjective refuses a non-finite prox center y
+        with pytest.raises(ValueError, match="y must be finite"):
+            l1_objective(0.5, value)
