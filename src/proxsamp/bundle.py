@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .potentials import Array, RegularizedTarget, _check_point
+from .potentials import Array, RegularizedTarget, _check_point, _row_dots
 
 # pivots one model QP solve may take before ``DualSolverError``
 DUAL_MAX_ITER = 10_000
@@ -152,10 +152,22 @@ class ProxObjective:
     def _value(self, x: Array, f_x=None) -> float:
         """``value`` at a shape-(dim,) float array, without the shape check.
 
-        ``f_x`` is f(x) when the caller has already queried it.
+        ``f_x`` is f(x) when the caller has already queried it.  A
+        non-finite g(x) is returned as it is: g_y^eta is then non-finite
+        too, and x - y could be inf - inf.
         """
+        g = self.g_value(x, f_x)
+        if not math.isfinite(g):
+            return g
         dy = x - self.y
-        return self.g_value(x, f_x) + float(dy @ dy) / self.two_eta
+        return g + float(dy @ dy) / self.two_eta
+
+    def _values(self, xs: Array, f_xs: Array) -> Array:
+        """``_value`` at each row of an (n, dim) float array, bit for bit,
+        given f on the rows (``potentials.value_rows``)."""
+        dx = xs - self.center
+        dy = xs - self.y
+        return f_xs + 0.5 * self.target.mu * _row_dots(dx, dx) + _row_dots(dy, dy) / self.two_eta
 
     def quad_part(self, x: Array) -> float:
         """The non-plane part (mu/2)||x-x0||^2 + ||x-y||^2/(2 eta)."""
@@ -516,7 +528,8 @@ def prox_bundle(
     planes = [CuttingPlane(y, f_y, f_subgrad(y))]
     oracle_calls = 1
     x_best = y
-    best_value = value(y, f_y)
+    # g_y^eta(y) = g(y) + 0.0: no y - y, which is inf - inf at an infinite y
+    best_value = obj.g_value(y, f_y) + 0.0
     if not math.isfinite(best_value):
         raise ValueError(f"g_y^eta is {best_value} at y = {y.tolist()}")
 

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bundle import BundleResult, ProxObjective, prox_bundle
-from .potentials import Array
+from .potentials import Array, value_rows
 from .quadrature import QuadratureDensity, modified_gaussian_ratio
 from .rejection import (
     EnvelopeViolationError,
@@ -143,14 +143,19 @@ def sandwich_suite(
     bundle_result: Optional[BundleResult] = None,
 ) -> SandwichReport:
     """Check lower <= g_y^eta <= upper at Gaussian probes around the center,
-    up to ``SANDWICH_TOL``.
+    up to ``SANDWICH_TOL``; a NaN slack fails.
 
     The lower envelope is the sampler's own ``lower_envelope``: with a
     bundle result at the model center and ``envelope_offset``, as
     ``rgo_sample`` uses it in bundle mode; otherwise the exact form at the
     prox point.  The upper envelope always needs the true prox point, taken
     from the closed form when available, else from a high-accuracy bundle
-    run.
+    run.  All probes come from one ``rng.standard_normal((probes, dim))``
+    draw and are evaluated as one block of rows: f through the potential's
+    ``values`` (a row loop over ``value`` without it), then g_y^eta and both
+    envelopes on the rows.  The first probe's ``values`` entry must equal
+    ``value`` there bit for bit, else ``ValueError`` (a ``values`` left
+    stale by replacing ``value``).
     """
     if obj.target.base.prox is not None:
         xstar = prox_of_target(obj)
@@ -166,13 +171,22 @@ def sandwich_suite(
         offset = envelope_offset(res.best_value, res.model_value, res.qp_gap, res.delta)
 
     scale = 5.0 * math.sqrt(obj.eta)
-    min_lower = math.inf
-    min_upper = math.inf
-    for _ in range(probes):
-        x = center + scale * rng.standard_normal(obj.dim)
-        g = obj.value(x)
-        min_lower = min(min_lower, g - lower_envelope(x, center, offset, obj.inv_two_eta_mu))
-        min_upper = min(min_upper, upper_envelope(x, xstar, vstar, obj) - g)
+    xs = center + scale * rng.standard_normal((probes, obj.dim))
+    base = obj.target.base
+    f = value_rows(base, xs)
+    if base.values is not None and probes:
+        first = float(base.value(xs[0]))
+        if float(f[0]).hex() != first.hex():
+            raise ValueError(
+                f"potential {base.name!r}: values gives {float(f[0])!r} where value "
+                f"gives {first!r} at {xs[0].tolist()}; replace values along with value"
+            )
+    g = obj._values(xs, f)
+    lower = g - lower_envelope(xs, center, offset, obj.inv_two_eta_mu)
+    upper = upper_envelope(xs, xstar, vstar, obj) - g
+    # np.min propagates NaN, where Python's min(inf, nan) is inf
+    min_lower = float(np.min(lower, initial=math.inf))
+    min_upper = float(np.min(upper, initial=math.inf))
     return SandwichReport(
         min_lower_slack=min_lower,
         min_upper_slack=min_upper,

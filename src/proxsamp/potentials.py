@@ -47,7 +47,14 @@ class Potential:
     """Convex potential on R^d with oracles and optional closed forms.
 
     ``value`` and ``subgrad`` accept a shape-(dim,) array; ``subgrad`` may
-    return any subdifferential element.  ``prox``, when present, maps
+    return any subdifferential element.  ``values``, when present, takes an
+    (n, dim) float array and returns the n values of ``value`` on its rows,
+    each equal to ``value`` on that row bit for bit; every zoo family
+    provides it, and ``value_rows`` falls back to a row loop over ``value``
+    without it.  ``dataclasses.replace`` keeps ``values``, so replacing
+    ``value`` means replacing ``values`` too (or setting it to None): the
+    A6 sandwich refuses a ``values`` that disagrees with ``value``.
+    ``prox``, when present, maps
     (eta, y) to argmin f + ||.-y||^2/(2 eta).  ``sample_exact`` draws n iid
     points from exp(-f) (the l1 and Gaussian families provide it).
     ``fourth_moment`` is the analytic value of E||x - x_min||^4 under
@@ -58,6 +65,7 @@ class Potential:
     value: Callable[[Array], float]
     subgrad: Callable[[Array], Array]
     profile: SmoothnessProfile
+    values: Optional[Callable[[Array], Array]] = None
     prox: Optional[Callable[[float, Array], Array]] = None
     x_min: Optional[Array] = None
     sample_exact: Optional[Callable[[np.random.Generator, int], Array]] = None
@@ -107,6 +115,30 @@ class RegularizedTarget:
         return np.asarray(self.base.subgrad(x), dtype=float) + self.mu * (
             x - self.center
         )
+
+
+def value_rows(pot: Potential, xs: Array) -> Array:
+    """f at each row of an (n, dim) float array: ``pot.values`` when given,
+    else a row loop over ``pot.value``."""
+    if pot.values is not None:
+        return pot.values(xs)
+    return np.array([float(pot.value(x)) for x in xs])
+
+
+def _row_dots(u: Array, v: Array) -> Array:
+    """<u_i, v_i> for each row u_i of u, with v one vector or a stack of rows.
+
+    Each entry equals ``float(u_i @ v_i)`` bit for bit: a stack of
+    vector-vector ``matmul``s runs the same dot kernel as one ``@``, where
+    ``einsum`` and ``(u * v).sum(1)`` sum in another order.
+    """
+    return np.matmul(u[:, None, :], v[..., None])[:, 0, 0]
+
+
+def _pow_rows(r: Array, k: float) -> Array:
+    """r_i ** k with Python's pow on each entry: ``np.power`` rounds some
+    results differently, and the scalar oracles use Python's pow."""
+    return np.array([ri**k for ri in r.tolist()], dtype=float)
 
 
 def _check_point(x, dim: int) -> Array:
@@ -200,6 +232,9 @@ def make_l1(dim: int, scale: float = 1.0) -> Potential:
     def value(x):
         return s * float(np.abs(x).sum())
 
+    def values(xs):
+        return s * np.abs(xs).sum(axis=1)
+
     def subgrad(x):
         return s * np.sign(x)
 
@@ -216,6 +251,7 @@ def make_l1(dim: int, scale: float = 1.0) -> Potential:
     return Potential(
         dim=dim,
         value=value,
+        values=values,
         subgrad=subgrad,
         profile=SmoothnessProfile(alpha=0.0, l_alpha=2.0 * s * math.sqrt(dim)),
         prox=prox,
@@ -243,6 +279,9 @@ def make_power_norm(dim: int, alpha: float, c: float = 1.0) -> Potential:
     def value(x):
         x = np.asarray(x, dtype=float)
         return cc / (a + 1.0) * math.sqrt(x @ x) ** (a + 1.0)
+
+    def values(xs):
+        return cc / (a + 1.0) * _pow_rows(np.sqrt(_row_dots(xs, xs)), a + 1.0)
 
     def subgrad(x):
         x = np.asarray(x, dtype=float)
@@ -288,6 +327,7 @@ def make_power_norm(dim: int, alpha: float, c: float = 1.0) -> Potential:
     return Potential(
         dim=dim,
         value=value,
+        values=values,
         subgrad=subgrad,
         profile=SmoothnessProfile(alpha=a, l_alpha=cc * 2.0 ** (1.0 - a)),
         prox=prox,
@@ -312,6 +352,9 @@ def make_quad_plus_l1(
         x = np.asarray(x, dtype=float)
         return 0.5 * float(q @ (x * x)) + s * float(np.abs(x).sum())
 
+    def values(xs):
+        return 0.5 * _row_dots(xs * xs, q) + s * np.abs(xs).sum(axis=1)
+
     def subgrad(x):
         x = np.asarray(x, dtype=float)
         return q * x + s * np.sign(x)
@@ -327,6 +370,7 @@ def make_quad_plus_l1(
     return Potential(
         dim=dim,
         value=value,
+        values=values,
         subgrad=subgrad,
         profile=SmoothnessProfile(
             alpha=0.0,
@@ -369,6 +413,9 @@ def make_hinge_sum(dim: int, planes: Sequence[tuple]) -> Potential:
     def value(x):
         return float(np.maximum(A @ np.asarray(x, dtype=float) + b, 0.0).sum())
 
+    def values(xs):
+        return np.maximum(np.matmul(A, xs[:, :, None])[:, :, 0] + b, 0.0).sum(axis=1)
+
     def subgrad(x):
         active = (A @ np.asarray(x, dtype=float) + b) > 0.0
         return A.T @ active.astype(float)
@@ -377,6 +424,7 @@ def make_hinge_sum(dim: int, planes: Sequence[tuple]) -> Potential:
     return Potential(
         dim=dim,
         value=value,
+        values=values,
         subgrad=subgrad,
         profile=SmoothnessProfile(
             alpha=0.0, l_alpha=float(np.sum(np.linalg.norm(A, axis=1)))
@@ -396,6 +444,9 @@ def make_gaussian(dim: int, diag_precision: Sequence[float]) -> Potential:
         x = np.asarray(x, dtype=float)
         return 0.5 * float(p @ (x * x))
 
+    def values(xs):
+        return 0.5 * _row_dots(xs * xs, p)
+
     def subgrad(x):
         return p * np.asarray(x, dtype=float)
 
@@ -410,6 +461,7 @@ def make_gaussian(dim: int, diag_precision: Sequence[float]) -> Potential:
     return Potential(
         dim=dim,
         value=value,
+        values=values,
         subgrad=subgrad,
         profile=SmoothnessProfile(
             alpha=1.0,

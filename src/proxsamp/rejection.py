@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundle import BundleResult, ProxObjective, SamplerError, eta_mu_of, prox_bundle
-from .potentials import Array, SmoothnessProfile, _check_point
+from .potentials import Array, SmoothnessProfile, _check_point, _pow_rows, _row_dots
 
 # the bundle-mode lower envelope, recorded in manifest.json: a change to it
 # changes bundle-mode chains for the same seed
@@ -83,17 +83,20 @@ class RgoSample:
     subgrad_calls: int
 
 
-def lower_envelope(x: Array, center: Array, offset: float, inv_two_eta_mu: float) -> float:
+def lower_envelope(x: Array, center: Array, offset: float, inv_two_eta_mu: float):
     """Quadratic minorant h1(x) = ||x - center||^2/(2 eta_mu) + offset of g_y^eta.
 
     Exact mode: center is the prox point and offset its objective value.
     Bundle mode: center is the model minimizer and offset is
     ``envelope_offset`` of the bundle result.  ``rgo_sample`` tests its
-    proposals against this function and the A6 sandwich probes it, both
-    with the objective's ``inv_two_eta_mu``.
+    proposals against this function, one point at a time, and the A6
+    sandwich probes it on an (n, dim) stack of rows, both with the
+    objective's ``inv_two_eta_mu``.  A point gives a float, rows an array
+    whose entries equal the point values bit for bit.
     """
     d = x - center
-    return float(d @ d) * inv_two_eta_mu + offset
+    sq = float(d @ d) if d.ndim == 1 else _row_dots(d, d)
+    return sq * inv_two_eta_mu + offset
 
 
 def envelope_offset(best_value: float, model_value: float, qp_gap: float, delta: float) -> float:
@@ -114,19 +117,27 @@ def envelope_offset(best_value: float, model_value: float, qp_gap: float, delta:
     return float(paper if paper > dual or paper != paper else dual)
 
 
-def upper_envelope(x: Array, xstar: Array, value_at_xstar: float, obj: ProxObjective) -> float:
+def upper_envelope(x: Array, xstar: Array, value_at_xstar: float, obj: ProxObjective):
     """Quadratic-plus-power majorant h2 of g_y^eta around the true prox point.
 
     h2(x) = l_alpha/(alpha+1) ||x-x*||^(alpha+1) + ||x-x*||^2/(2 eta_mu_l1)
     + g_y^eta(x*), with the profile of the objective's potential;
     analysis-side only (needs the exact x*).  With l_one = 0 the curvature
-    term reduces to 1/(2 eta_mu).
+    term reduces to 1/(2 eta_mu).  Like ``lower_envelope``, it takes a
+    point (giving a float) or an (n, dim) stack of rows (giving an array
+    equal to the point values bit for bit).
     """
     profile = obj.target.base.profile
     coef = profile.l_alpha / (profile.alpha + 1.0)
     curv = 1.0 / (2.0 * obj.eta_mu_l1)
-    r = float(np.linalg.norm(np.asarray(x, dtype=float) - xstar))
-    return coef * r ** (profile.alpha + 1.0) + curv * r * r + value_at_xstar
+    d = np.asarray(x, dtype=float) - xstar
+    if d.ndim == 1:
+        r = float(np.linalg.norm(d))
+        power = r ** (profile.alpha + 1.0)
+    else:
+        r = np.sqrt(_row_dots(d, d))
+        power = _pow_rows(r, profile.alpha + 1.0)
+    return coef * power + curv * r * r + value_at_xstar
 
 
 def prox_of_target(obj: ProxObjective) -> Array:

@@ -172,10 +172,10 @@ def test_a5_modified_gaussian_bound():
 
 
 def test_a6_sandwich_invariants():
-    """h_lower <= g <= h_upper at 1e5 probe evaluations across the zoo."""
-    rep = suite_sandwich(probes_per_case=1000, n_draws=5)
+    """h_lower <= g <= h_upper at 1e6 probe evaluations across the zoo."""
+    rep = suite_sandwich(probes_per_case=10_000, n_draws=5)
     det = rep.details
-    ok = rep.passed and det["n_probes"] >= 100_000
+    ok = rep.passed and det["n_probes"] >= 1_000_000
     record(
         "A6",
         ok,

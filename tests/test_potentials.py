@@ -220,3 +220,35 @@ class TestZoo:
             SmoothnessProfile(alpha=1.5, l_alpha=1.0)
         with pytest.raises(ValueError):
             SmoothnessProfile(alpha=0.5, l_alpha=-1.0)
+
+
+def probe_rows(dim: int) -> np.ndarray:
+    """Seeded rows at magnitudes 1e-3 to 1e3, plus exact kinks: a zero row,
+    rows with coordinates at 0, and rows on the zoo hinge planes'
+    |<q_i, x>| = 1/2."""
+    rng = np.random.default_rng(100 + dim)
+    rows = [m * rng.standard_normal((40, dim)) for m in np.logspace(-3.0, 3.0, 13)]
+    rows.append(np.zeros((1, dim)))
+    sparse = rng.standard_normal((20, dim))
+    sparse[:10, ::2] = 0.0
+    sparse[10:, 1::2] = 0.0
+    rows.append(sparse)
+    q = np.array([a for a, _ in _zoo_hinge_planes(dim)[::2]])
+    signs = rng.choice([-0.5, 0.5], size=(20, dim))
+    rows += [0.5 * q, -0.5 * q, signs @ q]
+    return np.concatenate(rows)
+
+
+class TestRowValues:
+    @pytest.mark.parametrize("dim", [1, 2, 5, 20])
+    @pytest.mark.parametrize("name", ["l1", "power_norm", "quad_plus_l1", "hinge_sum", "gaussian"])
+    def test_values_equal_value_bit_for_bit(self, name, dim):
+        xs = probe_rows(dim)
+        pots = [default_zoo(dim)[name]]
+        if name == "power_norm":
+            pots += [make_power_norm(dim, 0.0, 2.0), make_power_norm(dim, 1.0)]
+        for pot in pots:
+            got = pot.values(xs)
+            assert got.shape == (len(xs),)
+            # ==, not approx: A6 evaluates rows and must see the scalar oracle's numbers
+            assert got.tolist() == [float(pot.value(x)) for x in xs]
