@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .potentials import Array, RegularizedTarget, _check_point, _row_dots
+from .potentials import Array, RegularizedTarget, _check_point, _finite_point, _row_dots
 
 # pivots one model QP solve may take before ``DualSolverError``
 DUAL_MAX_ITER = 10_000
@@ -23,9 +23,9 @@ class SamplerError(RuntimeError):
     """A solver or sampler cap was reached, or a sampler invariant broke.
 
     ``context`` says where: ``run_chain`` adds the step, the seed and the
-    auxiliary point y, and ``proxsamp sample`` the chain index.  Errors
-    keep their attributes through pickling, so worker processes can
-    return them.
+    auxiliary point y, and ``proxsamp sample`` the chain index.  Arguments
+    after the message have defaults, so ``BaseException``'s own pickling
+    (args, then ``__dict__``) lets worker processes return the errors.
     """
 
     def __init__(self, message: str):
@@ -37,16 +37,6 @@ class SamplerError(RuntimeError):
         where = ", ".join(f"{k} {self.context[k]}" for k in keys if k in self.context)
         return f"{super().__str__()} ({where})" if where else super().__str__()
 
-    def __reduce__(self):
-        return _rebuild_error, (type(self), self.args, self.__dict__)
-
-
-def _rebuild_error(cls, args, state):
-    err = cls.__new__(cls)
-    err.args = args
-    err.__dict__.update(state)
-    return err
-
 
 class DualSolverError(SamplerError):
     """Model QP reached its pivot cap above the gap tolerance.
@@ -55,9 +45,7 @@ class DualSolverError(SamplerError):
     the pivot cap ``max_pivots`` and the number of planes ``n_planes``.
     """
 
-    def __init__(
-        self, message: str, x: Array, gap: float, max_pivots: int, n_planes: int
-    ):
+    def __init__(self, message: str, x=None, gap=math.nan, max_pivots=0, n_planes=0):
         super().__init__(message)
         self.x = x
         self.gap = gap
@@ -72,7 +60,7 @@ class BundleLimitError(SamplerError):
     BundleResult for diagnosis.
     """
 
-    def __init__(self, message: str, result: "BundleResult"):
+    def __init__(self, message: str, result=None):
         super().__init__(message)
         self.result = result
 
@@ -125,10 +113,7 @@ class ProxObjective:
         self.inv_two_eta_mu = 1.0 / (2.0 * self.eta_mu)
         self.sqrt_eta = math.sqrt(eta)
         self.sqrt_eta_mu = math.sqrt(self.eta_mu)
-        y = _check_point(y, self.dim)
-        if not np.isfinite(y).all():
-            raise ValueError(f"y must be finite, got {y.tolist()}")
-        self._move(y)
+        self._move(_finite_point(y, self.dim, "y"))
 
     def _move(self, y: Array) -> None:
         """Set the prox center to a shape-(dim,) float array y, unchecked."""

@@ -13,6 +13,7 @@ d <= 2, from quadrature: no parameter rule runs a chain.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -20,7 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .bundle import ProxObjective, SamplerError
-from .potentials import Array, Potential, RegularizedTarget, SmoothnessProfile, _check_point
+from .potentials import Array, Potential, RegularizedTarget, SmoothnessProfile
+from .potentials import _check_point, _finite_point
 from .quadrature import QuadratureDensity
 from .rejection import (
     RgoConfig,
@@ -53,6 +55,9 @@ class ChainConfig:
     def __post_init__(self):
         if self.n_iters < 0:
             raise ValueError("n_iters must be >= 0")
+        # numpy refuses a negative seed only when the chain starts
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not 0 <= self.mu < math.inf:
             raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
         if self.regime not in REGIMES:
@@ -83,16 +88,6 @@ class ChainTrace:
     @property
     def final(self) -> Array:
         return self.iterates[-1]
-
-    def totals(self) -> dict:
-        return {
-            "rejections": int(self.rejections.sum()),
-            "bundle_iters": int(self.bundle_iters.sum()),
-            "subgrad_calls": int(self.subgrad_calls.sum()),
-            "proposals_per_step": float(np.mean(self.rejections + 1))
-            if self.rejections.size
-            else 0.0,
-        }
 
     def to_csv(self, path) -> None:
         d = self.iterates.shape[1]
@@ -127,13 +122,12 @@ class MomentEstimate:
             raise ValueError("m4 must be >= 0")
 
 
-def moment_estimate(potential: Potential, center_x0: Optional[Array] = None) -> MomentEstimate:
+def moment_estimate(potential: Potential) -> MomentEstimate:
     """M4 and x_min from analytic metadata, else quadrature (d <= 2), else a
-    ``ValueError`` asking for mu to be set explicitly.  Runs no chain."""
+    ``ValueError`` asking for mu to be set explicitly.  Runs no chain.  The
+    start x0 is the default center: x_min if declared, else the origin."""
     x_min = potential.x_min
-    if center_x0 is None:
-        center_x0 = x_min if x_min is not None else np.zeros(potential.dim)
-    center_x0 = np.atleast_1d(np.asarray(center_x0, dtype=float))
+    x0 = np.asarray(x_min if x_min is not None else np.zeros(potential.dim), dtype=float)
 
     if potential.fourth_moment is not None and x_min is not None:
         m4 = potential.fourth_moment
@@ -154,7 +148,7 @@ def moment_estimate(potential: Potential, center_x0: Optional[Array] = None) -> 
             f"no analytic fourth moment for {potential.name!r} at d={potential.dim}, "
             "and quadrature covers d <= 2 only: set mu explicitly"
         )
-    dist_sq = float(np.sum((center_x0 - x_min) ** 2))
+    dist_sq = float(np.sum((x0 - x_min) ** 2))
     return MomentEstimate(
         m4=float(m4), x_min=tuple(float(v) for v in x_min), dist_sq=dist_sq, source=source
     )
@@ -285,6 +279,13 @@ def gibbs_step(
     return y, sample
 
 
+def _check_exact_mode(mode: str, potential: Potential) -> None:
+    """Exact mode centres proposals at the closed-form prox, so a potential
+    without one is refused before any sweep."""
+    if mode == "exact" and potential.prox is None:
+        raise ValueError(f"potential {potential.name!r} has no closed-form prox for exact mode")
+
+
 def run_chain(
     potential: Potential,
     config: ChainConfig,
@@ -292,6 +293,7 @@ def run_chain(
 ) -> ChainTrace:
     """Run K sweeps from x_init (default: the regularization center).
 
+    The center, x_init and exact mode's prox are checked first (``ValueError``).
     One ``StepSizeWarning`` before the first sweep when the chain's
     ``rejection_bound`` is inf (eta_mu fails the profile's step-size
     guard).  A ``SamplerError`` (a bundle, model QP or rejection cap
@@ -301,16 +303,9 @@ def run_chain(
     before the first sweep, so its constants are computed once.
     """
     d = potential.dim
-    center = np.asarray(config.center_x0, dtype=float)
-    if center.shape != (d,):
-        raise ValueError(f"center_x0 has length {center.shape[0]}, expected {d}")
-    if x_init is None:
-        x_init = center
-    x = np.atleast_1d(np.asarray(x_init, dtype=float)).copy()
-    if x.shape != (d,):
-        raise ValueError(f"x_init has shape {x.shape}, expected ({d},)")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"x_init must be finite, got {x.tolist()}")
+    target = RegularizedTarget(potential, config.mu, config.center_x0)
+    x = _finite_point(target.center if x_init is None else x_init, d, "x_init")
+    _check_exact_mode(config.rgo_mode, potential)
 
     k = config.n_iters
     rgo_cfg = config.rgo()
@@ -322,7 +317,7 @@ def run_chain(
             stacklevel=2,
         )
 
-    obj = ProxObjective(RegularizedTarget(potential, config.mu, center), rgo_cfg.eta, x)
+    obj = ProxObjective(target, rgo_cfg.eta, x)
     rng = np.random.default_rng(config.seed)
 
     iterates = np.empty((k + 1, d))

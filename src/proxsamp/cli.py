@@ -27,7 +27,7 @@ from .bundle import SamplerError, eta_mu_of
 from .chain import (
     CSV_COLUMNS_VERSION,
     ChainConfig,
-    IterationBudget,
+    _check_exact_mode,
     moment_estimate,
     run_chain,
     select_mu,
@@ -35,12 +35,12 @@ from .chain import (
     select_params_composite,
     select_params_semismooth,
 )
-from .potentials import make_by_name
+from .potentials import _finite_point, make_by_name
 from .rejection import ENVELOPE_VERSION, RgoConfig, rejection_bound
 from .verify import SUITES, run_suites
 
 DEFAULT_CONFIG = {
-    "target": {"name": "l1", "dim": 1, "params": {"scale": 1.0}},
+    "target": {"name": "l1", "dim": 1, "params": {}},
     "regime": {
         "kind": "semi-smooth",
         "eps": 0.2,
@@ -77,6 +77,20 @@ def _config_keys(keys: str):
         raise UsageError(f"{what} ({keys} in the config)") from e
 
 
+def _config_int(cfg: dict, keys: str, floor: int) -> int:
+    """The int at ``keys`` ("section.key"): a bool, a non-integral value or
+    one below ``floor`` is a ``UsageError`` naming the key."""
+    section, key = keys.split(".")
+    val = cfg[section][key]
+    with _config_keys(keys):
+        integral = isinstance(val, int) or isinstance(val, float) and val.is_integer()
+        if isinstance(val, bool) or not integral:
+            raise ValueError(f"{key} must be an integer, got {val!r}")
+        if val < floor:
+            raise ValueError(f"{key} must be >= {floor}, got {val}")
+    return int(val)
+
+
 def load_config(path=None) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
@@ -102,17 +116,17 @@ def resolve_parameters(cfg: dict) -> dict:
     budget contracts at mu, plus ``lambda_strong`` under strongly-convex."""
     tsec = cfg["target"]
     rsec = cfg["regime"]
+    dim = _config_int(cfg, "target.dim", 1)
     with _config_keys("target"):
-        pot = make_by_name(tsec["name"], int(tsec["dim"]), tsec.get("params") or {})
-    d = pot.dim
+        pot = make_by_name(tsec["name"], dim, tsec.get("params") or {})
     kind = rsec["kind"]
     profile = pot.profile
 
     with _config_keys("regime.kind"):
         if kind == "semi-smooth":
-            eta, delta = select_params_semismooth(profile, d)
+            eta, delta = select_params_semismooth(profile, dim)
         elif kind in ("composite", "strongly-convex"):
-            eta, delta = select_params_composite(profile, d)
+            eta, delta = select_params_composite(profile, dim)
         else:
             raise ValueError(f"unknown regime kind {kind!r}")
         if kind == "strongly-convex" and profile.lambda_strong <= 0:
@@ -123,6 +137,8 @@ def resolve_parameters(cfg: dict) -> dict:
         if rsec.get("delta") is not None:
             delta = float(rsec["delta"])
         rgo = RgoConfig(eta=eta, delta=delta, mode=rsec["rgo_mode"])
+    with _config_keys("regime.rgo_mode"):
+        _check_exact_mode(rgo.mode, pot)
 
     eps, mu = rsec.get("eps"), rsec.get("mu")
     with _config_keys("regime.eps"):
@@ -141,8 +157,8 @@ def resolve_parameters(cfg: dict) -> dict:
                 mu = 0.0  # convex / strongly-convex regimes run unregularized
         mu = float(mu)
         modulus = mu + profile.lambda_strong if kind == "strongly-convex" else mu
-        budget: IterationBudget = select_num_iters(
-            eps=float(eps) if eps is not None else 0.2, eta=eta, mu=modulus, d=d
+        budget = select_num_iters(
+            eps=float(eps) if eps is not None else 0.2, eta=eta, mu=modulus, d=dim
         )
     return {
         "potential": pot,
@@ -152,7 +168,7 @@ def resolve_parameters(cfg: dict) -> dict:
         "moments": moments,
         "budget": budget,
         "kind": kind,
-        "bound": rejection_bound(rgo, profile, d, mu=mu),
+        "bound": rejection_bound(rgo, profile, dim, mu=mu),
     }
 
 
@@ -210,18 +226,10 @@ def cmd_sample(args) -> int:
     center = pot.x_min if pot.x_min is not None else np.zeros(pot.dim)
 
     # every chain's config and start are checked before any chain runs
-    with _config_keys("chain.n_chains"):
-        n_chains = int(csec["n_chains"])
-        if n_chains < 1:
-            raise ValueError(f"n_chains must be >= 1, got {n_chains}")
-    with _config_keys("chain.workers"):
-        workers = int(csec["workers"])
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-    with _config_keys("chain.n_iters"):
-        n_iters = int(csec["n_iters"])
-        if n_iters < 1:
-            raise ValueError(f"n_iters must be >= 1, got {n_iters}")
+    n_chains = _config_int(cfg, "chain.n_chains", 1)
+    workers = _config_int(cfg, "chain.workers", 1)
+    n_iters = _config_int(cfg, "chain.n_iters", 1)
+    seed = _config_int(cfg, "chain.seed", 0)
     with _config_keys("chain, regime.mu"):
         chain_cfgs = [
             ChainConfig(
@@ -230,7 +238,7 @@ def cmd_sample(args) -> int:
                 mu=p["mu"],
                 center_x0=tuple(float(v) for v in center),
                 n_iters=n_iters,
-                seed=int(csec["seed"]) + i,
+                seed=seed + i,
                 target_eps=cfg["regime"].get("eps"),
                 regime=p["kind"],
                 rgo_mode=cfg["regime"]["rgo_mode"],
@@ -240,11 +248,7 @@ def cmd_sample(args) -> int:
     x_init = csec.get("x_init")
     if x_init is not None:
         with _config_keys("chain.x_init"):
-            x_init = np.atleast_1d(np.asarray(x_init, dtype=float))
-            if x_init.shape != (pot.dim,):
-                raise ValueError(f"x_init has shape {x_init.shape}, expected ({pot.dim},)")
-            if not np.all(np.isfinite(x_init)):
-                raise ValueError(f"x_init must be finite, got {x_init.tolist()}")
+            x_init = _finite_point(x_init, pot.dim, "x_init")
     payloads = [
         (i, cfg["target"]["name"], pot.dim, cfg["target"].get("params") or {}, chain_cfg, x_init)
         for i, chain_cfg in enumerate(chain_cfgs)
@@ -266,11 +270,12 @@ def cmd_sample(args) -> int:
         csv_paths.append(path)
     wall = time.perf_counter() - t0  # chains and their CSV files
 
-    totals = {
-        "rejections": sum(t.totals()["rejections"] for t in traces),
-        "bundle_iters": sum(t.totals()["bundle_iters"] for t in traces),
-        "subgrad_calls": sum(t.totals()["subgrad_calls"] for t in traces),
+    counts = {
+        key: np.concatenate([getattr(t, key) for t in traces])
+        for key in ("rejections", "bundle_iters", "subgrad_calls")
     }
+    totals = {key: int(c.sum()) for key, c in counts.items()}
+    proposals = counts["rejections"] + 1
     manifest = {
         "version": __version__,
         "csv_columns": CSV_COLUMNS_VERSION,
@@ -282,7 +287,7 @@ def cmd_sample(args) -> int:
             "mu": p["mu"],
             "regime": p["kind"],
         },
-        "seeds": [int(csec["seed"]) + i for i in range(n_chains)],
+        "seeds": [seed + i for i in range(n_chains)],
         "files": [os.path.basename(q) for q in csv_paths],
         "wall_clock_s": wall,
         "totals": totals,
@@ -292,14 +297,15 @@ def cmd_sample(args) -> int:
 
     steps = n_chains * n_iters
     bound = p["bound"]
-    chain_means = [t.totals()["proposals_per_step"] for t in traces]
+    # integer sums are exact, so each chain's mean is the same bits in any order
+    chain_means = proposals.reshape(n_chains, n_iters).mean(axis=1).tolist()
     summary = {
         "n_chains": n_chains,
         "n_iters": n_iters,
         "mean_proposals_per_step": (totals["rejections"] + steps) / steps,
-        **_distribution("proposals", [t.rejections + 1 for t in traces]),
-        **_distribution("bundle_iters", [t.bundle_iters for t in traces]),
-        **_distribution("subgrad_calls", [t.subgrad_calls for t in traces]),
+        **_distribution("proposals", proposals),
+        **_distribution("bundle_iters", counts["bundle_iters"]),
+        **_distribution("subgrad_calls", counts["subgrad_calls"]),
         "rejection_bound": bound,
         "rejection_bound_condition_ok": math.isfinite(bound),
         "chain_mean_proposals_per_step": chain_means,
@@ -315,14 +321,13 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _distribution(name: str, per_chain) -> dict:
-    """p50, p99 and max over all steps of a per-step counter."""
-    per_step = np.concatenate([np.zeros(0)] + per_chain)
-    p50, p99 = np.percentile(per_step, [50, 99]) if per_step.size else (0.0, 0.0)
+def _distribution(name: str, per_step) -> dict:
+    """p50, p99 and max over all steps (at least one) of a per-step counter."""
+    p50, p99 = np.percentile(per_step, [50, 99])
     return {
         f"p50_{name}_per_step": float(p50),
         f"p99_{name}_per_step": float(p99),
-        f"max_{name}_per_step": float(per_step.max(initial=0.0)),
+        f"max_{name}_per_step": float(per_step.max()),
     }
 
 

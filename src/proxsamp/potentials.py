@@ -88,13 +88,7 @@ class RegularizedTarget:
     def __post_init__(self):
         if not 0 <= self.mu < math.inf:
             raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
-        center = np.atleast_1d(np.asarray(self.center, dtype=float))
-        if center.shape != (self.base.dim,):
-            raise ValueError(
-                f"center has shape {center.shape}, expected ({self.base.dim},)"
-            )
-        if not np.all(np.isfinite(center)):
-            raise ValueError(f"center must be finite, got {center.tolist()}")
+        center = _finite_point(self.center, self.base.dim, "center")
         object.__setattr__(self, "center", center)
 
     def value(self, x: Array) -> float:
@@ -141,10 +135,18 @@ def _pow_rows(r: Array, k: float) -> Array:
     return np.array([ri**k for ri in r.tolist()], dtype=float)
 
 
-def _check_point(x, dim: int) -> Array:
+def _check_point(x, dim: int, name: str = "point") -> Array:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (dim,):
-        raise ValueError(f"point has shape {x.shape}, expected ({dim},)")
+        raise ValueError(f"{name} has shape {x.shape}, expected ({dim},)")
+    return x
+
+
+def _finite_point(x, dim: int, name: str) -> Array:
+    """``_check_point`` plus finiteness; errors name the input ``name``."""
+    x = _check_point(x, dim, name)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite, got {x.tolist()}")
     return x
 
 
@@ -477,11 +479,23 @@ def make_gaussian(dim: int, diag_precision: Sequence[float]) -> Potential:
     )
 
 
-ZOO_NAMES = ("l1", "power_norm", "quad_plus_l1", "hinge_sum", "gaussian")
+# the params each zoo family reads in ``make_by_name``
+_FAMILY_PARAMS = {
+    "l1": ("scale",), "power_norm": ("alpha", "c"), "quad_plus_l1": ("q_diagonal", "scale"),
+    "hinge_sum": ("planes",), "gaussian": ("diag_precision",),
+}
+ZOO_NAMES = tuple(_FAMILY_PARAMS)
 
 
 def make_by_name(name: str, dim: int, params: dict) -> Potential:
-    """Construct a zoo potential from a config-style (name, params) pair."""
+    """Construct a zoo potential from a config-style (name, params) pair;
+    a param the family does not read is a ``ValueError``."""
+    if name not in _FAMILY_PARAMS:
+        raise ValueError(f"unknown potential {name!r}; available: {', '.join(ZOO_NAMES)}")
+    reads = _FAMILY_PARAMS[name]
+    unknown = sorted(set(params) - set(reads))
+    if unknown:
+        raise ValueError(f"unknown params {unknown} for {name!r}; it reads {', '.join(reads)}")
     if name == "l1":
         return make_l1(dim, params.get("scale", 1.0))
     if name == "power_norm":
@@ -499,9 +513,7 @@ def make_by_name(name: str, dim: int, params: dict) -> Potential:
                 "bounded on a ray and exp(-f) is not a probability density"
             )
         return pot
-    if name == "gaussian":
-        return make_gaussian(dim, params.get("diag_precision", [1.0] * dim))
-    raise ValueError(f"unknown potential {name!r}; available: {', '.join(ZOO_NAMES)}")
+    return make_gaussian(dim, params.get("diag_precision", [1.0] * dim))
 
 
 def positively_spans(normals: Array) -> bool:

@@ -41,7 +41,7 @@ class EnvelopeViolationError(SamplerError):
 class RejectionLimitError(SamplerError):
     """Proposal cap hit; carries diagnostics for the offending call."""
 
-    def __init__(self, message: str, rejections: int, center: Array):
+    def __init__(self, message: str, rejections: int = 0, center=None):
         super().__init__(message)
         self.rejections = rejections
         self.center = center

@@ -47,20 +47,20 @@ def suite_prop_key() -> CheckReport:
     )
 
 
-def suite_sandwich(probes_per_case: int = 400, n_draws: int = 10, dim: int = 2) -> CheckReport:
-    """Envelope sandwich across the zoo, exact and bundle lower forms.
+def suite_sandwich(probes_per_case: int = 400, n_draws: int = 10) -> CheckReport:
+    """Envelope sandwich across the zoo at d = 2, exact and bundle lower forms.
 
     Passes iff every case passes; a NaN slack in any case fails the suite
     and is reported.
     """
     rng = np.random.default_rng(7)
     reports = []
-    for name, pot in default_zoo(dim).items():
-        eta, delta = select_params_composite(pot.profile, dim)
+    for name, pot in default_zoo(2).items():
+        eta, delta = select_params_composite(pot.profile, pot.dim)
         for mu in (0.0, 0.1):
-            target = RegularizedTarget(pot, mu, np.zeros(dim))
+            target = RegularizedTarget(pot, mu, np.zeros(pot.dim))
             for _ in range(n_draws):
-                y = rng.standard_normal(dim) * 2.0
+                y = rng.standard_normal(pot.dim) * 2.0
                 obj = ProxObjective(target, eta, y)
                 reports.append(sandwich_suite(obj, probes_per_case, rng))
                 res = prox_bundle(obj, delta)
@@ -159,11 +159,12 @@ def bundle_case(name: str, pot: Potential, n_draws: int, seed: int) -> dict:
     }
 
 
-def suite_bundle_bounds(n_draws: int = 200, dim: int = 5) -> CheckReport:
-    """Measured iteration counts vs the worst-case recursion bound, per target."""
+def suite_bundle_bounds(n_draws: int = 200) -> CheckReport:
+    """Measured iteration counts vs the worst-case recursion bound, per
+    target of the d = 5 zoo."""
     entries = [
         bundle_case(name, pot, n_draws, seed=400 + i)
-        for i, (name, pot) in enumerate(default_zoo(dim).items())
+        for i, (name, pot) in enumerate(default_zoo(5).items())
     ]
     passed = all(e["passed"] for e in entries)
     return CheckReport(name="bundle-bounds", passed=passed, details={"cases": entries})

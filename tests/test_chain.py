@@ -7,14 +7,19 @@ import pytest
 
 from proxsamp import (
     BundleLimitError,
+    BundleResult,
     ChainConfig,
+    DualSolverError,
+    EnvelopeViolationError,
     MomentEstimate,
     ProxObjective,
     RegularizedTarget,
+    RejectionLimitError,
     RgoConfig,
     default_zoo,
     gibbs_step,
     make_gaussian,
+    make_hinge_sum,
     make_l1,
     make_power_norm,
     make_quad_plus_l1,
@@ -278,13 +283,11 @@ class TestChain:
 
         assert ks_1samp(out, ndtr) < ks_critical(0.01, n)
 
-    def test_trace_totals_and_csv_roundtrip(self, tmp_path):
+    def test_trace_csv_roundtrip(self, tmp_path):
         pot = make_l1(1, 1.0)
         eta, delta = select_params_semismooth(pot.profile, 1)
         cfg = ChainConfig(eta=eta, delta=delta, mu=0.0, center_x0=(0.0,), n_iters=25, seed=2)
         trace = run_chain(pot, cfg)
-        tot = trace.totals()
-        assert tot["subgrad_calls"] == int(trace.subgrad_calls.sum())
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"
         trace.to_csv(p1)
@@ -372,6 +375,106 @@ class TestChain:
         with pytest.raises(ValueError, match=rf"expected \({d},\)"):
             gibbs_step(np.zeros(x_dim), obj, cfg, np.random.default_rng(0))
         assert obj.y is y0
+
+
+
+class TestBoundaryChecks:
+    """Each input is checked once, where it enters, with errors naming it."""
+
+    @pytest.mark.parametrize(
+        "make_error",
+        [
+            lambda: DualSolverError("qp cap", x=np.array([0.5, -1.0]), gap=0.25, max_pivots=7, n_planes=3),
+            lambda: BundleLimitError(
+                "bundle cap",
+                BundleResult(
+                    x_model=np.zeros(2), x_best=np.ones(2), iterations=4, gap=0.5, oracle_calls=4,
+                    best_value=1.5, model_value=1.0, delta=0.1, qp_gap=0.0,
+                ),
+            ),
+            lambda: RejectionLimitError("proposal cap", 1000, np.array([2.0])),
+            lambda: EnvelopeViolationError("envelope above target"),
+        ],
+        ids=["dual", "bundle", "rejection", "envelope"],
+    )
+    def test_sampler_errors_pickle_round_trip(self, make_error):
+        import pickle
+
+        err = make_error()
+        err.context.update(chain=1, step=2, seed=3, y=[0.25, -0.5])
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is type(err)
+        assert back.args == err.args
+        assert back.context == err.context
+        assert str(back) == str(err) and str(err).endswith("(chain 1, step 2, seed 3, y [0.25, -0.5])")
+        attrs = {k: v for k, v in vars(err).items() if k != "context"}
+        assert set(vars(back)) == set(vars(err))
+        for key, value in attrs.items():
+            if isinstance(value, BundleResult):
+                assert back.result.x_best.tolist() == value.x_best.tolist()
+                assert (back.result.iterations, back.result.gap) == (value.iterations, value.gap)
+            elif isinstance(value, np.ndarray):
+                assert getattr(back, key).tolist() == value.tolist()
+            else:
+                assert getattr(back, key) == value
+
+    def test_wrong_length_center_fails_before_step_size_warning(self):
+        import warnings
+
+        # eta = 1 exceeds the l1 guard 1/16, so a sweep-ready chain would warn first
+        cfg = ChainConfig(eta=1.0, delta=1.0, mu=0.0, center_x0=(0.0, 0.0), n_iters=2, seed=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=r"center has shape \(2,\), expected \(1,\)"):
+                run_chain(make_l1(1, 1.0), cfg)
+        assert caught == []
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda t: RegularizedTarget(t.base, 0.0, [0.0]), r"center has shape \(1,\), expected \(2,\)"),
+            (lambda t: RegularizedTarget(t.base, 0.0, [math.nan, 0.0]), "center must be finite"),
+            (lambda t: ProxObjective(t, 0.1, [0.0, 0.0, 0.0]), r"y has shape \(3,\), expected \(2,\)"),
+            (lambda t: ProxObjective(t, 0.1, [0.0, math.inf]), "y must be finite"),
+            (lambda t: run_chain(t.base, _l1_config(2), x_init=[1.0]), r"x_init has shape \(1,\), expected \(2,\)"),
+            (lambda t: run_chain(t.base, _l1_config(2), x_init=[0.0, -math.inf]), "x_init must be finite"),
+        ],
+        ids=["center-shape", "center-finite", "y-shape", "y-finite", "x_init-shape", "x_init-finite"],
+    )
+    def test_point_errors_name_the_input(self, build, message):
+        target = RegularizedTarget(make_l1(2, 1.0), 0.0, np.zeros(2))
+        with pytest.raises(ValueError, match=message):
+            build(target)
+
+    def test_exact_mode_without_prox_fails_before_first_sweep(self, monkeypatch):
+        import proxsamp.chain as chain
+
+        def no_sweep(*args):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(chain, "gibbs_step", no_sweep)
+        pot = make_hinge_sum(2, [(s * e, -0.5) for e in np.eye(2) for s in (1.0, -1.0)])
+        eta, delta = select_params_semismooth(pot.profile, 2)
+        cfg = ChainConfig(
+            eta=eta, delta=delta, mu=0.1, center_x0=(0.0, 0.0), n_iters=3, seed=0, rgo_mode="exact"
+        )
+        with pytest.raises(ValueError, match="'hinge_sum' has no closed-form prox for exact mode"):
+            run_chain(pot, cfg)
+
+    @pytest.mark.parametrize("seed", [-1, 1.7, 2.0, True, "3", None])
+    def test_config_refuses_a_seed_numpy_would_refuse_or_truncate(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            ChainConfig(eta=0.0625, delta=1.0, mu=0.0, center_x0=(0.0,), n_iters=1, seed=seed)
+
+    def test_config_takes_numpy_integer_seed(self):
+        cfg = ChainConfig(eta=0.0625, delta=1.0, mu=0.0, center_x0=(0.0,), n_iters=3, seed=np.int64(4))
+        same = dataclasses.replace(cfg, seed=4)
+        assert run_chain(make_l1(1, 1.0), cfg).iterates.tolist() == run_chain(make_l1(1, 1.0), same).iterates.tolist()
+
+
+def _l1_config(d):
+    eta, delta = select_params_semismooth(make_l1(d, 1.0).profile, d)
+    return ChainConfig(eta=eta, delta=delta, mu=0.0, center_x0=(0.0,) * d, n_iters=2, seed=0)
 
 
 def _trace_digest(trace):

@@ -196,6 +196,57 @@ class TestParams:
         assert "regime.mu" in err and "budget" in err
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["params", "sample"])
+    def test_exact_mode_without_prox_is_usage_error(self, capsys, tmp_path, command):
+        normals = [s * e for e in np.eye(2) for s in (1.0, -1.0)]
+        cfg = self.hinge_config(tmp_path, normals, rgo_mode="exact", mu=0.1)
+        out_dir = tmp_path / "o"
+        extra = ["--out-dir", str(out_dir)] if command == "sample" else []
+        code, out, err = run_cli([command, "--config", str(cfg), *extra], capsys)
+        assert code == 2
+        assert "'hinge_sum' has no closed-form prox for exact mode" in err
+        assert "(regime.rgo_mode in the config)" in err
+        assert out == ""
+        assert not out_dir.exists()
+
+    def test_target_without_params_takes_its_family_defaults(self, capsys, tmp_path):
+        # the default params are empty, so none of them is foreign to gaussian
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"target": {"name": "gaussian", "dim": 2}, "regime": {"kind": "composite"}}))
+        code, out, _ = run_cli(["params", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert "gaussian (d=2)" in out
+
+    @pytest.mark.parametrize("command", ["params", "sample"])
+    def test_unknown_target_param_is_usage_error(self, capsys, tmp_path, command):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"target": {"name": "l1", "dim": 1, "params": {"sacle": 5.0}}}))
+        out_dir = tmp_path / "o"
+        extra = ["--out-dir", str(out_dir)] if command == "sample" else []
+        code, out, err = run_cli([command, "--config", str(cfg), *extra], capsys)
+        assert code == 2
+        assert "unknown params ['sacle'] for 'l1'; it reads scale (target in the config)" in err
+        assert out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["params", "sample"])
+    @pytest.mark.parametrize(
+        "value, message",
+        [(2.5, "dim must be an integer, got 2.5"), (True, "dim must be an integer, got True"),
+         ("2", "dim must be an integer, got '2'"), (0, "dim must be >= 1, got 0")],
+        ids=["fraction", "bool", "string", "zero"],
+    )
+    def test_non_integral_dim_is_usage_error(self, capsys, tmp_path, command, value, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"target": {"name": "l1", "dim": value, "params": {}}}))
+        out_dir = tmp_path / "o"
+        extra = ["--out-dir", str(out_dir)] if command == "sample" else []
+        code, out, err = run_cli([command, "--config", str(cfg), *extra], capsys)
+        assert code == 2
+        assert f"{message} (target.dim in the config)" in err
+        assert out == ""
+        assert not out_dir.exists()
+
     def test_improper_hinge_set_is_usage_error(self, capsys, tmp_path):
         # f = 0 on the quadrant x <= 1/2: exp(-f) has infinite mass
         cfg = self.hinge_config(tmp_path, np.eye(2))
@@ -391,6 +442,44 @@ class TestSample:
         assert f"{key} must be >= 1" in err and f"chain.{key} in the config" in err
         assert out == ""
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("seed", -1, "seed must be >= 0, got -1"),
+            ("seed", 1.7, "seed must be an integer, got 1.7"),
+            ("n_iters", 10.7, "n_iters must be an integer, got 10.7"),
+            ("n_chains", 1.5, "n_chains must be an integer, got 1.5"),
+            ("workers", 2.5, "workers must be an integer, got 2.5"),
+            ("n_chains", True, "n_chains must be an integer, got True"),
+            ("n_iters", None, "n_iters must be an integer, got None"),
+        ],
+        ids=["seed-negative", "seed-fraction", "n_iters-fraction", "n_chains-fraction",
+             "workers-fraction", "n_chains-bool", "n_iters-null"],
+    )
+    def test_non_integral_chain_value_is_usage_error(self, capsys, tmp_path, key, value, message):
+        cfg = self.make_config(tmp_path)
+        data = json.loads(cfg.read_text())
+        data["chain"][key] = value
+        cfg.write_text(json.dumps(data))
+        out_dir = tmp_path / "o"
+        code, out, err = run_cli(["sample", "--config", str(cfg), "--out-dir", str(out_dir)], capsys)
+        assert code == 2
+        assert f"{message} (chain.{key} in the config)" in err
+        assert out == ""
+        assert not out_dir.exists()
+
+    def test_integral_float_counts_run_as_ints(self, capsys, tmp_path):
+        cfg = self.make_config(tmp_path, n_chains=2.0, n_iters=5.0)
+        data = json.loads(cfg.read_text())
+        data["chain"]["seed"] = 3.0
+        cfg.write_text(json.dumps(data))
+        out_dir = tmp_path / "o"
+        code, _, _ = run_cli(["sample", "--config", str(cfg), "--out-dir", str(out_dir)], capsys)
+        assert code == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["seeds"] == [3, 4]
+        assert len((out_dir / "chain_001.csv").read_text().splitlines()) == 7  # header + K+1 rows
 
     def test_value_error_in_a_chain_is_not_a_usage_error(self, tmp_path, monkeypatch):
         import proxsamp.cli as cli

@@ -15,7 +15,7 @@ from proxsamp import (
     make_quad_plus_l1,
     validate_profile,
 )
-from proxsamp.potentials import _zoo_hinge_planes, make_by_name, positively_spans, sample_in_ball
+from proxsamp.potentials import ZOO_NAMES, _zoo_hinge_planes, make_by_name, positively_spans, sample_in_ball
 
 
 def grid_prox_oracle(f, eta, y, lo=-4.0, hi=4.0, step=1e-4):
@@ -214,6 +214,28 @@ class TestZoo:
     def test_make_by_name_unknown(self):
         with pytest.raises(ValueError, match="available"):
             make_by_name("not_a_potential", 2, {})
+
+    # every param each family reads, at d = 2
+    FAMILY_PARAMS = {
+        "l1": {"scale": 2.0},
+        "power_norm": {"alpha": 0.5, "c": 2.0},
+        "quad_plus_l1": {"q_diagonal": [1.0, 2.0], "scale": 0.5},
+        "hinge_sum": {"planes": [[[s * v for v in e], -0.5] for e in ([1.0, 0.0], [0.0, 1.0]) for s in (1.0, -1.0)]},
+        "gaussian": {"diag_precision": [1.0, 2.0]},
+    }
+
+    @pytest.mark.parametrize("name", ZOO_NAMES)
+    def test_make_by_name_refuses_unknown_params(self, name):
+        params = dict(self.FAMILY_PARAMS[name])
+        assert make_by_name(name, 2, params).name == name
+        reads = ", ".join(params)
+        with pytest.raises(ValueError, match=rf"unknown params \['sacle'\] for '{name}'; it reads {reads}$"):
+            make_by_name(name, 2, {**params, "sacle": 5.0})
+
+    def test_make_by_name_defaults_optional_params(self):
+        pot = make_by_name("power_norm", 20, {"alpha": 0.5})
+        assert (pot.dim, pot.profile.alpha, pot.profile.l_alpha) == (20, 0.5, 2.0**0.5)
+        assert make_by_name("l1", 1, {}).profile.l_alpha == 2.0
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):
