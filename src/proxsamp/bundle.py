@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .potentials import Array, RegularizedTarget, _check_point, _finite_point, _row_dots
+from .potentials import _finite_real, _integer_at_least
 
 # pivots one model QP solve may take before ``DualSolverError``
 DUAL_MAX_ITER = 10_000
@@ -96,8 +97,7 @@ class ProxObjective:
     )
 
     def __init__(self, target: RegularizedTarget, eta: float, y: Array):
-        if not 0 < eta < math.inf:
-            raise ValueError(f"eta must be finite and > 0, got {eta}")
+        _finite_real(eta, "eta")
         base = target.base
         self.target = target
         self.dim = base.dim
@@ -499,10 +499,8 @@ def prox_bundle(
     not finite) raises ``ValueError``.  ``record`` keeps the per-iteration
     trajectory in the result.
     """
-    if not 0 < delta < math.inf:
-        raise ValueError(f"delta must be finite and > 0, got {delta}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    _finite_real(delta, "delta")
+    _integer_at_least(max_iter, "max_iter", 1)
     f_value, f_subgrad, value = obj.f_value, obj.f_subgrad, obj._value
     gap_tol = min(delta / 100.0, 1e-10)
 

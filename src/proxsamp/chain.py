@@ -13,7 +13,6 @@ d <= 2, from quadrature: no parameter rule runs a chain.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -22,7 +21,7 @@ import numpy as np
 
 from .bundle import ProxObjective, SamplerError
 from .potentials import Array, Potential, RegularizedTarget, SmoothnessProfile
-from .potentials import _check_point, _finite_point
+from .potentials import _check_point, _finite_point, _finite_real, _integer_at_least
 from .quadrature import QuadratureDensity
 from .rejection import (
     RgoConfig,
@@ -53,13 +52,10 @@ class ChainConfig:
     rgo_mode: str = "bundle"
 
     def __post_init__(self):
-        if self.n_iters < 0:
-            raise ValueError("n_iters must be >= 0")
+        _integer_at_least(self.n_iters, "n_iters", 0)
         # numpy refuses a negative seed only when the chain starts
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not 0 <= self.mu < math.inf:
-            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
+        _integer_at_least(self.seed, "seed", 0)
+        _finite_real(self.mu, "mu", strict=False)
         if self.regime not in REGIMES:
             raise ValueError(f"regime must be one of {REGIMES}")
         object.__setattr__(self, "center_x0", tuple(float(v) for v in self.center_x0))
@@ -118,8 +114,7 @@ class MomentEstimate:
     source: str = "analytic"
 
     def __post_init__(self):
-        if self.m4 < 0:
-            raise ValueError("m4 must be >= 0")
+        _finite_real(self.m4, "m4", strict=False)
 
 
 def moment_estimate(potential: Potential) -> MomentEstimate:
@@ -168,8 +163,7 @@ def select_params_semismooth(profile: SmoothnessProfile, d: int) -> tuple:
     """
     if profile.l_alpha <= 0:
         raise ValueError("semi-smooth rule needs l_alpha > 0")
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    _integer_at_least(d, "d", 1)
     return semismooth_step(profile.alpha, profile.l_alpha, d), _gap_tolerance(profile.alpha, d)
 
 
@@ -181,8 +175,7 @@ def _gap_tolerance(alpha: float, d: int) -> float:
 
 def select_params_composite(profile: SmoothnessProfile, d: int) -> tuple:
     """(eta, delta) with the step size capped by both regime guards."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    _integer_at_least(d, "d", 1)
     eta = step_guard(profile, d)
     if math.isinf(eta):
         raise ValueError("composite rule needs l_alpha > 0 or l_one > 0")
@@ -191,8 +184,7 @@ def select_params_composite(profile: SmoothnessProfile, d: int) -> tuple:
 
 def select_mu(eps: float, moments: MomentEstimate) -> float:
     """Regularization weight keeping the regularized target within eps/2 TV."""
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
+    _finite_real(eps, "eps")
     return eps / (math.sqrt(2.0) * (math.sqrt(moments.m4) + moments.dist_sq))
 
 
@@ -224,8 +216,9 @@ def select_num_iters(
     initial divergences default to d, and the constants are conservative;
     both are echoed so callers can override.
     """
-    if eps <= 0 or eta <= 0:
-        raise ValueError("need eps > 0 and eta > 0")
+    _finite_real(eps, "eps")
+    _finite_real(eta, "eta")
+    _finite_real(mu, "mu", strict=False)
     if mu > 0:
         h0 = float(d) if h0 is None else float(h0)
         rate = 2.0 * math.log1p(mu * eta)

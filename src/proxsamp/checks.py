@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bundle import BundleResult, ProxObjective, prox_bundle
-from .potentials import Array, value_rows
+from .potentials import Array, _finite_real, value_rows
 from .quadrature import QuadratureDensity, modified_gaussian_ratio
 from .rejection import (
     EnvelopeViolationError,
@@ -46,22 +46,19 @@ def wendel_check(t_grid: Sequence[float], s_grid: Sequence[float]) -> CheckRepor
     Evaluated through log-gamma, up to ``WENDEL_TOL`` in log space.
     """
     worst = -math.inf
-    worst_point = None
     for t in t_grid:
+        _finite_real(t, "t")
         for s in s_grid:
-            if not (0.0 < s < 1.0 and t > 0.0):
-                raise ValueError("need 0 < s < 1 and t > 0")
+            if not 0.0 < s < 1.0:
+                raise ValueError(f"s must be in (0, 1), got {s}")
             log_ratio = math.lgamma(t + 1.0) - math.lgamma(t + s)
             lo = (1.0 - s) * math.log(t)
             hi = (1.0 - s) * math.log(t + s)
-            slack = max(lo - log_ratio, log_ratio - hi)
-            if slack > worst:
-                worst = slack
-                worst_point = (t, s)
+            worst = max(worst, lo - log_ratio, log_ratio - hi)
     return CheckReport(
         name="wendel",
         passed=worst <= WENDEL_TOL,
-        details={"worst_log_slack": worst, "worst_point": worst_point},
+        details={"worst_log_slack": worst},
     )
 
 
@@ -72,7 +69,6 @@ def check_prop_key_bound(grid: Sequence[tuple]) -> CheckReport:
     condition 2 a (eta d)^((alpha+1)/2) <= 1; the check asserts
     integral >= (2 pi eta)^(d/2) / 2 up to ``PROP_KEY_TOL``.
     """
-    entries = []
     worst = math.inf
     for alpha, eta, a, d in grid:
         cond = 2.0 * a * (eta * d) ** ((alpha + 1.0) / 2.0)
@@ -81,15 +77,11 @@ def check_prop_key_bound(grid: Sequence[tuple]) -> CheckReport:
                 f"grid point (alpha={alpha}, eta={eta}, a={a}, d={d}) violates "
                 f"the admissibility condition: {cond:.6f} > 1"
             )
-        ratio = modified_gaussian_ratio(alpha, eta, a, d)
-        entries.append(
-            {"alpha": alpha, "eta": eta, "a": a, "d": d, "ratio": ratio}
-        )
-        worst = min(worst, ratio)
+        worst = min(worst, modified_gaussian_ratio(alpha, eta, a, d))
     return CheckReport(
         name="prop-key",
         passed=worst >= 1.0 - PROP_KEY_TOL,
-        details={"worst_ratio": worst, "n_points": len(grid), "entries": entries},
+        details={"worst_ratio": worst, "n_points": len(grid)},
     )
 
 

@@ -35,7 +35,7 @@ from .chain import (
     select_params_composite,
     select_params_semismooth,
 )
-from .potentials import _finite_point, make_by_name
+from .potentials import _finite_point, _finite_real, _integer_at_least, make_by_name
 from .rejection import ENVELOPE_VERSION, RgoConfig, rejection_bound
 from .verify import SUITES, run_suites
 
@@ -78,17 +78,15 @@ def _config_keys(keys: str):
 
 
 def _config_int(cfg: dict, keys: str, floor: int) -> int:
-    """The int at ``keys`` ("section.key"): a bool, a non-integral value or
-    one below ``floor`` is a ``UsageError`` naming the key."""
+    """The int at ``keys`` ("section.key"): an integral float such as 5.0
+    reads as 5; anything the integer rule refuses is a ``UsageError``
+    naming the key."""
     section, key = keys.split(".")
     val = cfg[section][key]
+    if isinstance(val, float) and val.is_integer():
+        val = int(val)
     with _config_keys(keys):
-        integral = isinstance(val, int) or isinstance(val, float) and val.is_integer()
-        if isinstance(val, bool) or not integral:
-            raise ValueError(f"{key} must be an integer, got {val!r}")
-        if val < floor:
-            raise ValueError(f"{key} must be >= {floor}, got {val}")
-    return int(val)
+        return _integer_at_least(val, key, floor)
 
 
 def load_config(path=None) -> dict:
@@ -117,8 +115,10 @@ def resolve_parameters(cfg: dict) -> dict:
     tsec = cfg["target"]
     rsec = cfg["regime"]
     dim = _config_int(cfg, "target.dim", 1)
+    params = tsec.get("params")
     with _config_keys("target"):
-        pot = make_by_name(tsec["name"], dim, tsec.get("params") or {})
+        # null reads as {}; any other non-object, even [], is refused
+        pot = make_by_name(tsec["name"], dim, {} if params is None else params)
     kind = rsec["kind"]
     profile = pot.profile
 
@@ -142,11 +142,11 @@ def resolve_parameters(cfg: dict) -> dict:
 
     eps, mu = rsec.get("eps"), rsec.get("mu")
     with _config_keys("regime.eps"):
-        if eps is not None and not 0 < float(eps) < math.inf:
-            raise ValueError(f"eps must be > 0 and finite, got {eps}")
+        if eps is not None:
+            _finite_real(float(eps), "eps")
     with _config_keys("regime.mu"):
-        if mu is not None and not 0 <= float(mu) < math.inf:
-            raise ValueError(f"mu must be >= 0 and finite, got {mu}")
+        if mu is not None:
+            _finite_real(float(mu), "mu", strict=False)
     moments = None
     with _config_keys("regime.mu, regime.eps"):
         if mu is None:

@@ -9,6 +9,7 @@ consume.  ``validate_profile`` checks a declared profile empirically.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -34,8 +35,9 @@ class SmoothnessProfile:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.l_alpha < 0 or self.l_one < 0 or self.lambda_strong < 0:
-            raise ValueError("smoothness coefficients must be >= 0")
+        _finite_real(self.l_alpha, "l_alpha", strict=False)
+        _finite_real(self.l_one, "l_one", strict=False)
+        _finite_real(self.lambda_strong, "lambda_strong", strict=False)
 
     def holder_bound(self, dist: float) -> float:
         """Declared upper bound on ||f'(u)-f'(v)|| at ||u-v|| = dist."""
@@ -73,8 +75,7 @@ class Potential:
     name: str = "custom"
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be a positive integer")
+        _integer_at_least(self.dim, "dim", 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +87,7 @@ class RegularizedTarget:
     center: Array
 
     def __post_init__(self):
-        if not 0 <= self.mu < math.inf:
-            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
+        _finite_real(self.mu, "mu", strict=False)
         center = _finite_point(self.center, self.base.dim, "center")
         object.__setattr__(self, "center", center)
 
@@ -150,6 +150,29 @@ def _finite_point(x, dim: int, name: str) -> Array:
     return x
 
 
+def _finite_real(x, name: str, floor: float = 0, strict: bool = True):
+    """x when it is finite and > ``floor`` (>= when not ``strict``), else
+    ``ValueError`` naming the input ``name``.  The one rule for every real
+    input: the chained comparison is False for NaN, where ``x <= floor``
+    would let NaN through."""
+    if not (floor < x < math.inf if strict else floor <= x < math.inf):
+        raise ValueError(f"{name} must be finite and {'>' if strict else '>='} {floor}, got {x}")
+    return x
+
+
+def _integer_at_least(x, name: str, floor: int):
+    """x when it is an integer (a ``numbers.Integral`` other than bool) and
+    >= ``floor``, else ``ValueError`` naming the input ``name``.  The one
+    rule for every integer input: 2.5 and True are refused."""
+    # a plain int skips the ABC check, which costs about 1 us: prox_bundle
+    # applies this rule on every sweep
+    if type(x) is not int and (isinstance(x, bool) or not isinstance(x, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    if x < floor:
+        raise ValueError(f"{name} must be >= {floor}, got {x}")
+    return x
+
+
 @dataclass(frozen=True)
 class ProfileReport:
     """Empirical check of a declared profile over sampled pairs."""
@@ -185,8 +208,7 @@ def validate_profile(
     Also checks the convexity inequality f(v) >= f(u) + <f'(u), v-u> on the
     same pairs.  Passes iff both max violations are <= ``PROFILE_TOL``.
     """
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1")
+    _integer_at_least(n_pairs, "n_pairs", 1)
     worst_smooth = 0.0
     worst_convex = 0.0
     worst_dist = 0.0
@@ -227,9 +249,7 @@ def make_l1(dim: int, scale: float = 1.0) -> Potential:
     2*scale*sqrt(dim), the tightest constant for which the profile
     inequality holds verbatim.  Prox is the soft-threshold.
     """
-    if scale <= 0:
-        raise ValueError("scale must be > 0")
-    s = float(scale)
+    s = float(_finite_real(scale, "scale"))
 
     def value(x):
         return s * float(np.abs(x).sum())
@@ -271,11 +291,9 @@ def make_power_norm(dim: int, alpha: float, c: float = 1.0) -> Potential:
     c * 2^(1-alpha), which is what the profile declares.
     """
     if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be in [0, 1]")
-    if c <= 0:
-        raise ValueError("c must be > 0")
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     a = float(alpha)
-    cc = float(c)
+    cc = float(_finite_real(c, "c"))
 
     # math.sqrt(x @ x) is np.linalg.norm(x) to the bit, at less call overhead
     def value(x):
@@ -343,12 +361,9 @@ def make_quad_plus_l1(
     dim: int, q_diagonal: Sequence[float], scale: float = 1.0
 ) -> Potential:
     """f(x) = 0.5 x' diag(q) x + scale * ||x||_1 (composite smooth + nonsmooth)."""
-    q = np.atleast_1d(np.asarray(q_diagonal, dtype=float))
-    if q.shape != (dim,) or np.any(q < 0):
-        raise ValueError("q_diagonal must be dim nonnegative entries")
-    if scale <= 0:
-        raise ValueError("scale must be > 0")
-    s = float(scale)
+    q = _finite_point(q_diagonal, dim, "q_diagonal")
+    _finite_real(float(q.min()), "q_diagonal", strict=False)
+    s = float(_finite_real(scale, "scale"))
 
     def value(x):
         x = np.asarray(x, dtype=float)
@@ -438,9 +453,8 @@ def make_hinge_sum(dim: int, planes: Sequence[tuple]) -> Potential:
 
 def make_gaussian(dim: int, diag_precision: Sequence[float]) -> Potential:
     """f(x) = 0.5 x' diag(p) x, with exact sampler and closed-form prox."""
-    p = np.atleast_1d(np.asarray(diag_precision, dtype=float))
-    if p.shape != (dim,) or np.any(p <= 0):
-        raise ValueError("diag_precision must be dim positive entries")
+    p = _finite_point(diag_precision, dim, "diag_precision")
+    _finite_real(float(p.min()), "diag_precision")
 
     def value(x):
         x = np.asarray(x, dtype=float)
@@ -489,9 +503,12 @@ ZOO_NAMES = tuple(_FAMILY_PARAMS)
 
 def make_by_name(name: str, dim: int, params: dict) -> Potential:
     """Construct a zoo potential from a config-style (name, params) pair;
-    a param the family does not read is a ``ValueError``."""
+    a params that is not a dict, or a param the family does not read, is a
+    ``ValueError``."""
     if name not in _FAMILY_PARAMS:
         raise ValueError(f"unknown potential {name!r}; available: {', '.join(ZOO_NAMES)}")
+    if not isinstance(params, dict):
+        raise ValueError(f"params must be a dict (a JSON object), got {params!r}")
     reads = _FAMILY_PARAMS[name]
     unknown = sorted(set(params) - set(reads))
     if unknown:

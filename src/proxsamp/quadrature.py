@@ -18,6 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .potentials import _finite_real, _integer_at_least
+
 Array = np.ndarray
 
 # f - f_min threshold beyond which mass is treated as negligible: edge
@@ -249,8 +251,9 @@ def modified_gaussian_ratio(alpha: float, eta: float, a: float, d: int) -> float
     2 pi^(d/2)/Gamma(d/2), evaluated adaptively to 1e-8 relative error and
     combined in log space.  With a = 0 the ratio is 2.
     """
-    if eta <= 0 or a < 0 or d < 1:
-        raise ValueError("need eta > 0, a >= 0, d >= 1")
+    _finite_real(eta, "eta")
+    _finite_real(a, "a", strict=False)
+    _integer_at_least(d, "d", 1)
     a_tilde = a * eta ** ((alpha + 1.0) / 2.0)
     log_g = _log_radial_integral(alpha, a_tilde, d)
     log_f0 = (0.5 * d - 1.0) * math.log(2.0) + math.lgamma(0.5 * d)

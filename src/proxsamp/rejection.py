@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundle import BundleResult, ProxObjective, SamplerError, eta_mu_of, prox_bundle
-from .potentials import Array, SmoothnessProfile, _check_point, _pow_rows, _row_dots
+from .potentials import Array, SmoothnessProfile, _check_point, _finite_real, _pow_rows, _row_dots
 
 # the bundle-mode lower envelope, recorded in manifest.json: a change to it
 # changes bundle-mode chains for the same seed
@@ -59,12 +59,11 @@ class RgoConfig:
     mode: str = "exact"
 
     def __post_init__(self):
-        if not 0 < self.eta < math.inf:
-            raise ValueError(f"eta must be finite and > 0, got {self.eta}")
+        _finite_real(self.eta, "eta")
         if self.mode not in ("exact", "bundle"):
             raise ValueError(f"mode must be 'exact' or 'bundle', got {self.mode!r}")
-        if self.mode == "bundle" and not 0 < self.delta < math.inf:
-            raise ValueError(f"bundle mode needs a finite delta > 0, got {self.delta}")
+        if self.mode == "bundle":
+            _finite_real(self.delta, "delta")
 
 
 @dataclass(eq=False, slots=True)

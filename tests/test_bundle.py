@@ -16,6 +16,7 @@ from proxsamp import (
     default_zoo,
     envelope_offset,
     gap_start_bound,
+    iteration_bound_composite,
     iteration_bound_semismooth,
     make_gaussian,
     make_l1,
@@ -526,3 +527,38 @@ class TestBundleInvariants:
     def test_iterations_below_formula_bound(self, name):
         # the same J against max(1, J0) dispatch the verify suite runs
         assert bundle_case(name, default_zoo(4)[name], 40, seed=17)["passed"]
+
+    @pytest.mark.parametrize("name, delta", [("power_norm", 1e-3), ("quad_plus_l1", 1e-5)])
+    def test_iterations_below_formula_bound_past_one_iteration(self, name, delta):
+        # below the regime's delta the first gap exceeds the tolerance, so
+        # J0 comes from its log(t1/delta) formula, not the one-iteration
+        # branch; quad_plus_l1 (l_one > 0) runs the composite bound with its
+        # l_alpha > 0 term, power_norm the semi-smooth one
+        dim = 5
+        pot = default_zoo(dim)[name]
+        prof = pot.profile
+        eta, _ = select_params_composite(prof, dim)
+        target = RegularizedTarget(pot, 0.0, np.zeros(dim))
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            obj = ProxObjective(target, eta, 2.0 * rng.standard_normal(dim))
+            res = prox_bundle(obj, delta, record=True)
+            t1 = res.gaps[0]
+            if prof.l_one > 0:
+                assert 2.0 * t1 > delta
+                j0 = iteration_bound_composite(obj.eta_mu, prof.l_alpha, prof.alpha, prof.l_one, delta, t1)
+            else:
+                assert t1 > delta
+                j0 = iteration_bound_semismooth(obj.eta_mu, prof.l_alpha, prof.alpha, delta, t1)
+            assert res.iterations <= max(1, j0)
+
+    def test_iteration_bound_closed_forms(self):
+        # eta_mu = 1/2, l_alpha = 2, alpha = 0, delta = 1/4, t1 = 1
+        # semi-smooth: c = 2 (1/2) 2^2 4 = 16, so j0 = 1 + ceil(17 ln 4) = 1 + ceil(23.57)
+        assert iteration_bound_semismooth(0.5, 2.0, 0.0, 0.25, 1.0) == 25
+        # composite with l_one = 1: c = (1/2)(1 + 2^2/(1/4)) = 8.5, so
+        # j0 = 1 + ceil(9.5 ln 8) = 1 + ceil(19.75)
+        assert iteration_bound_composite(0.5, 2.0, 0.0, 1.0, 0.25, 1.0) == 21
+        # at or below the tolerance one iteration suffices
+        assert iteration_bound_semismooth(0.5, 2.0, 0.0, 0.25, 0.25) == 1
+        assert iteration_bound_composite(0.5, 2.0, 0.0, 1.0, 0.25, 0.125) == 1

@@ -119,10 +119,10 @@ class TestParams:
     @pytest.mark.parametrize(
         "key,value,message",
         [
-            ("mu", -1.0, "mu must be >= 0"),
-            ("eps", 0, "eps must be > 0"),
-            ("mu", math.inf, "mu must be >= 0 and finite"),
-            ("eps", math.inf, "eps must be > 0 and finite"),
+            ("mu", -1.0, "mu must be finite and >= 0, got -1.0"),
+            ("eps", 0, "eps must be finite and > 0, got 0.0"),
+            ("mu", math.inf, "mu must be finite and >= 0, got inf"),
+            ("eps", math.inf, "eps must be finite and > 0, got inf"),
         ],
         ids=["mu", "eps", "mu-inf", "eps-inf"],
     )
@@ -144,8 +144,8 @@ class TestParams:
         [
             ("eta", math.nan, "eta must be finite and > 0"),
             ("eta", math.inf, "eta must be finite and > 0"),
-            ("delta", math.nan, "bundle mode needs a finite delta > 0"),
-            ("delta", math.inf, "bundle mode needs a finite delta > 0"),
+            ("delta", math.nan, "delta must be finite and > 0"),
+            ("delta", math.inf, "delta must be finite and > 0"),
         ],
         ids=["eta-nan", "eta-inf", "delta-nan", "delta-inf"],
     )
@@ -228,6 +228,40 @@ class TestParams:
         assert "unknown params ['sacle'] for 'l1'; it reads scale (target in the config)" in err
         assert out == ""
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["params", "sample"])
+    @pytest.mark.parametrize(
+        "target, regime, message",
+        [
+            ({"name": "l1", "params": {"scale": math.nan}}, {"eta": 0.1, "mu": 0}, "scale must be finite and > 0, got nan"),
+            ({"name": "l1", "params": {"scale": math.nan}}, {"mu": 0}, "scale must be finite and > 0, got nan"),
+            ({"name": "gaussian", "dim": 2, "params": {"diag_precision": [1.0, math.nan]}}, {"kind": "composite"},
+             "diag_precision must be finite, got [1.0, nan]"),
+            ({"name": "l1", "dim": 1, "params": ["scale"]}, {}, "params must be a dict (a JSON object), got ['scale']"),
+            ({"name": "l1", "dim": 1, "params": []}, {}, "params must be a dict (a JSON object), got []"),
+        ],
+        ids=["nan-scale", "nan-scale-no-eta", "nan-precision", "params-list", "params-empty-list"],
+    )
+    def test_bad_target_params_are_usage_errors(self, capsys, tmp_path, command, target, regime, message):
+        # the target is refused before any step rule reads it, so the error
+        # names target, not the regime key that would trip over it later
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"target": target, "regime": regime}))
+        out_dir = tmp_path / "o"
+        extra = ["--out-dir", str(out_dir)] if command == "sample" else []
+        code, out, err = run_cli([command, "--config", str(cfg), *extra], capsys)
+        assert code == 2
+        assert f"{message} (target in the config)" in err
+        assert out == ""
+        assert not out_dir.exists()
+
+    def test_unknown_regime_kind_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"regime": {"kind": "smooth"}}))
+        code, out, err = run_cli(["params", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "unknown regime kind 'smooth' (regime.kind in the config)" in err
+        assert out == ""
 
     @pytest.mark.parametrize("command", ["params", "sample"])
     @pytest.mark.parametrize(

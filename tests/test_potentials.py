@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from proxsamp import (
+    ChainConfig,
+    MomentEstimate,
     Potential,
+    ProxObjective,
     RegularizedTarget,
     SmoothnessProfile,
     default_zoo,
@@ -13,9 +16,20 @@ from proxsamp import (
     make_l1,
     make_power_norm,
     make_quad_plus_l1,
+    prox_bundle,
+    select_mu,
+    select_num_iters,
     validate_profile,
 )
-from proxsamp.potentials import ZOO_NAMES, _zoo_hinge_planes, make_by_name, positively_spans, sample_in_ball
+from proxsamp.potentials import (
+    ZOO_NAMES,
+    _finite_real,
+    _integer_at_least,
+    _zoo_hinge_planes,
+    make_by_name,
+    positively_spans,
+    sample_in_ball,
+)
 
 
 def grid_prox_oracle(f, eta, y, lo=-4.0, hi=4.0, step=1e-4):
@@ -242,6 +256,80 @@ class TestZoo:
             SmoothnessProfile(alpha=1.5, l_alpha=1.0)
         with pytest.raises(ValueError):
             SmoothnessProfile(alpha=0.5, l_alpha=-1.0)
+
+    @pytest.mark.parametrize("params", [["scale"], "scale", None])
+    def test_make_by_name_refuses_params_that_are_not_a_dict(self, params):
+        with pytest.raises(ValueError, match=r"params must be a dict \(a JSON object\), got"):
+            make_by_name("l1", 1, params)
+
+
+def _moments(m4=1.0):
+    return MomentEstimate(m4=m4, x_min=(0.0,), dist_sq=0.0)
+
+
+class TestNumberRules:
+    """Every real input passes ``_finite_real`` and every integer input
+    ``_integer_at_least``, so each refusal names its input in one format."""
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_real_rule_refuses_non_finite_and_floor(self, x):
+        with pytest.raises(ValueError, match=rf"^eta must be finite and > 0, got {x}$"):
+            _finite_real(x, "eta")
+        if x == 0.0:
+            assert _finite_real(x, "mu", strict=False) == 0.0
+        else:
+            with pytest.raises(ValueError, match=rf"^mu must be finite and >= 0, got {x}$"):
+                _finite_real(x, "mu", strict=False)
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [(2.5, "dim must be an integer, got 2.5"), (True, "dim must be an integer, got True"),
+         ("2", "dim must be an integer, got '2'"), (None, "dim must be an integer, got None"),
+         (math.nan, "dim must be an integer, got nan"), (0, "dim must be >= 1, got 0")],
+        ids=["fraction", "bool", "string", "none", "nan", "zero"],
+    )
+    def test_integer_rule_refuses(self, x, message):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            _integer_at_least(x, "dim", 1)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: select_mu(math.nan, _moments()), "eps must be finite and > 0, got nan"),
+            (lambda: select_mu(math.inf, _moments()), "eps must be finite and > 0, got inf"),
+            (lambda: select_num_iters(eps=math.nan, eta=0.1, mu=0.0), "eps must be finite and > 0, got nan"),
+            (lambda: select_num_iters(eps=0.2, eta=math.inf, mu=0.0), "eta must be finite and > 0, got inf"),
+            (lambda: SmoothnessProfile(0.5, math.nan), "l_alpha must be finite and >= 0, got nan"),
+            (lambda: SmoothnessProfile(0.5, 1.0, lambda_strong=math.inf), "lambda_strong must be finite"),
+            (lambda: make_l1(1, math.inf), "scale must be finite and > 0, got inf"),
+            (lambda: make_power_norm(2, 0.5, c=math.nan), "c must be finite and > 0, got nan"),
+            (lambda: make_gaussian(2, [1.0, math.nan]), r"diag_precision must be finite, got \[1.0, nan\]"),
+            (lambda: make_gaussian(2, [1.0, 0.0]), "diag_precision must be finite and > 0, got 0.0"),
+            (lambda: make_quad_plus_l1(2, [math.nan, 1.0]), r"q_diagonal must be finite, got \[nan, 1.0\]"),
+            (lambda: make_quad_plus_l1(2, [-1.0, 1.0]), "q_diagonal must be finite and >= 0, got -1.0"),
+            (lambda: _moments(m4=math.nan), "m4 must be finite and >= 0, got nan"),
+            (lambda: Potential(2.5, abs, abs, SmoothnessProfile(0.0, 1.0)), "dim must be an integer, got 2.5"),
+            (lambda: Potential(True, abs, abs, SmoothnessProfile(0.0, 1.0)), "dim must be an integer, got True"),
+            (
+                lambda: ChainConfig(eta=0.0625, delta=1.0, mu=0.0, center_x0=(0.0,), n_iters=2.5, seed=0),
+                "n_iters must be an integer, got 2.5",
+            ),
+            (
+                lambda: prox_bundle(ProxObjective(RegularizedTarget(make_l1(1), 0.0, [0.0]), 0.5, [1.0]), 1.0, max_iter=2.5),
+                "max_iter must be an integer, got 2.5",
+            ),
+            (lambda: validate_profile(make_l1(1), 0, 1.0, np.random.default_rng(0)), "n_pairs must be >= 1, got 0"),
+        ],
+        ids=[
+            "select_mu-nan", "select_mu-inf", "num_iters-eps", "num_iters-eta", "profile-l_alpha",
+            "profile-lambda", "l1-scale", "power_norm-c", "gaussian-nan", "gaussian-zero",
+            "quad_plus_l1-nan", "quad_plus_l1-negative", "m4", "dim-fraction", "dim-bool",
+            "n_iters", "max_iter", "n_pairs",
+        ],
+    )
+    def test_each_input_is_refused_by_name(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 def probe_rows(dim: int) -> np.ndarray:

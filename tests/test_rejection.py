@@ -391,7 +391,7 @@ class TestRgoConfigValidation:
         # ProxObjective checks eta as RgoConfig does
         with pytest.raises(ValueError, match="eta must be finite"):
             l1_objective(value, 1.0)
-        with pytest.raises(ValueError, match="finite delta"):
+        with pytest.raises(ValueError, match="delta must be finite and > 0"):
             RgoConfig(eta=0.5, mode="bundle", delta=value)
         # and ProxObjective refuses a non-finite prox center y
         with pytest.raises(ValueError, match="y must be finite"):

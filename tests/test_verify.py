@@ -67,3 +67,12 @@ def test_sandwich_suite_fails_on_a_nan_case(monkeypatch):
     assert not rep.passed
     assert math.isnan(rep.details["min_lower_slack"])
     assert rep.details["min_upper_slack"] == min(r.min_upper_slack for r in reports)
+
+
+def test_tv_decay_default_size_passes():
+    rep = verify.suite_tv_decay()
+    assert rep.passed
+    assert rep.details["checkpoints"] == [0, 10, 20, 30, 40]
+    # the chains start at x = 3, far in the tail of N(0, 1), and mix
+    tv = rep.details["tv"]
+    assert tv[0] > 0.5 > 0.1 > tv[-1]
