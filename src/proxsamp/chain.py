@@ -219,8 +219,9 @@ def select_num_iters(
     _finite_real(eps, "eps")
     _finite_real(eta, "eta")
     _finite_real(mu, "mu", strict=False)
+    _integer_at_least(d, "d", 1)
     if mu > 0:
-        h0 = float(d) if h0 is None else float(h0)
+        h0 = float(d) if h0 is None else float(_finite_real(h0, "h0", strict=False))
         rate = 2.0 * math.log1p(mu * eta)
         target = eps * eps / 2.0
         k = max(1, math.ceil(math.log(max(h0 / target, 1.0 + 1e-12)) / rate))
@@ -231,7 +232,7 @@ def select_num_iters(
             target=target,
             rule="kl-contraction",
         )
-    w2sq = float(d) if w2sq is None else float(w2sq)
+    w2sq = float(d) if w2sq is None else float(_finite_real(w2sq, "w2sq", strict=False))
     k = max(1, math.ceil(w2sq / (eps * eta)))
     return IterationBudget(
         n_iters=k,

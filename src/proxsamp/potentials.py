@@ -150,13 +150,13 @@ def _finite_point(x, dim: int, name: str) -> Array:
     return x
 
 
-def _finite_real(x, name: str, floor: float = 0, strict: bool = True):
-    """x when it is finite and > ``floor`` (>= when not ``strict``), else
+def _finite_real(x, name: str, strict: bool = True):
+    """x when it is finite and > 0 (>= 0 when not ``strict``), else
     ``ValueError`` naming the input ``name``.  The one rule for every real
-    input: the chained comparison is False for NaN, where ``x <= floor``
-    would let NaN through."""
-    if not (floor < x < math.inf if strict else floor <= x < math.inf):
-        raise ValueError(f"{name} must be finite and {'>' if strict else '>='} {floor}, got {x}")
+    input: the chained comparison is False for NaN, where ``x <= 0`` would
+    let NaN through."""
+    if not (0 < x < math.inf if strict else 0 <= x < math.inf):
+        raise ValueError(f"{name} must be finite and {'>' if strict else '>='} 0, got {x}")
     return x
 
 

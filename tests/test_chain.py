@@ -461,9 +461,19 @@ class TestBoundaryChecks:
         with pytest.raises(ValueError, match="'hinge_sum' has no closed-form prox for exact mode"):
             run_chain(pot, cfg)
 
-    @pytest.mark.parametrize("seed", [-1, 1.7, 2.0, True, "3", None])
-    def test_config_refuses_a_seed_numpy_would_refuse_or_truncate(self, seed):
-        with pytest.raises(ValueError, match=r"seed must be (an integer|>= 0), got"):
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            pytest.param(-1, "seed must be >= 0, got -1", id="-1"),
+            pytest.param(1.7, "seed must be an integer, got 1.7", id="1.7"),
+            pytest.param(2.0, "seed must be an integer, got 2.0", id="2.0"),
+            pytest.param(True, "seed must be an integer, got True", id="True"),
+            pytest.param("3", "seed must be an integer, got '3'", id="3"),
+            pytest.param(None, "seed must be an integer, got None", id="None"),
+        ],
+    )
+    def test_config_refuses_a_seed_numpy_would_refuse_or_truncate(self, seed, message):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
             ChainConfig(eta=0.0625, delta=1.0, mu=0.0, center_x0=(0.0,), n_iters=1, seed=seed)
 
     def test_config_takes_numpy_integer_seed(self):

@@ -299,6 +299,9 @@ class TestNumberRules:
             (lambda: select_mu(math.inf, _moments()), "eps must be finite and > 0, got inf"),
             (lambda: select_num_iters(eps=math.nan, eta=0.1, mu=0.0), "eps must be finite and > 0, got nan"),
             (lambda: select_num_iters(eps=0.2, eta=math.inf, mu=0.0), "eta must be finite and > 0, got inf"),
+            (lambda: select_num_iters(eps=0.2, eta=0.1, mu=0.1, h0=math.nan), "h0 must be finite and >= 0, got nan"),
+            (lambda: select_num_iters(eps=0.2, eta=0.1, mu=0.0, w2sq=-1.0), "w2sq must be finite and >= 0, got -1.0"),
+            (lambda: select_num_iters(eps=0.2, eta=0.1, mu=0.0, d=0), "d must be >= 1, got 0"),
             (lambda: SmoothnessProfile(0.5, math.nan), "l_alpha must be finite and >= 0, got nan"),
             (lambda: SmoothnessProfile(0.5, 1.0, lambda_strong=math.inf), "lambda_strong must be finite"),
             (lambda: make_l1(1, math.inf), "scale must be finite and > 0, got inf"),
@@ -321,7 +324,8 @@ class TestNumberRules:
             (lambda: validate_profile(make_l1(1), 0, 1.0, np.random.default_rng(0)), "n_pairs must be >= 1, got 0"),
         ],
         ids=[
-            "select_mu-nan", "select_mu-inf", "num_iters-eps", "num_iters-eta", "profile-l_alpha",
+            "select_mu-nan", "select_mu-inf", "num_iters-eps", "num_iters-eta", "num_iters-h0",
+            "num_iters-w2sq", "num_iters-d", "profile-l_alpha",
             "profile-lambda", "l1-scale", "power_norm-c", "gaussian-nan", "gaussian-zero",
             "quad_plus_l1-nan", "quad_plus_l1-negative", "m4", "dim-fraction", "dim-bool",
             "n_iters", "max_iter", "n_pairs",
