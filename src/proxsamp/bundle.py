@@ -85,15 +85,18 @@ class ProxObjective:
     every constant that does not depend on y once.  A chain builds one
     objective and ``_move``s it to each auxiliary point it draws.  Every
     attribute is read-only: y changes only through ``_move``, which also
-    drops the cached ``quad_center``, and the constants hold for the eta
-    and target given to the constructor, so build a new objective for a
-    new eta or target.
+    drops the cached ``quad_center`` and ``_sq``, and the constants hold
+    for the eta and target given to the constructor, so build a new
+    objective for a new eta or target.  ``_sq`` = (x, ||x - x0||^2,
+    ||x - y||^2) holds the squared distances of the last ``quad_part``
+    point, so ``prox_bundle`` values a model minimizer without computing
+    them again; at mu = 0 the first distance is not computed and reads 0.
     """
 
     __slots__ = (
         "target", "dim", "f_value", "f_subgrad", "g_value", "eta", "eta_mu", "two_eta",
         "half_mu", "center", "mu_center", "inv_two_eta_mu", "sqrt_eta", "sqrt_eta_mu",
-        "y", "_quad_center",
+        "y", "_quad_center", "_sq",
     )
 
     def __init__(self, target: RegularizedTarget, eta: float, y: Array):
@@ -119,6 +122,7 @@ class ProxObjective:
         """Set the prox center to a shape-(dim,) float array y, unchecked."""
         self.y = y
         self._quad_center = None
+        self._sq = (None, 0.0, 0.0)
 
     @property
     def quad_center(self) -> Array:
@@ -150,15 +154,24 @@ class ProxObjective:
     def _values(self, xs: Array, f_xs: Array) -> Array:
         """``_value`` at each row of an (n, dim) float array, bit for bit,
         given f on the rows (``potentials.value_rows``)."""
-        dx = xs - self.center
+        g = f_xs
+        if self.half_mu != 0.0:
+            dx = xs - self.center
+            g = g + self.half_mu * _row_dots(dx, dx)
         dy = xs - self.y
-        return f_xs + 0.5 * self.target.mu * _row_dots(dx, dx) + _row_dots(dy, dy) / self.two_eta
+        return g + _row_dots(dy, dy) / self.two_eta
 
     def quad_part(self, x: Array) -> float:
-        """The non-plane part (mu/2)||x-x0||^2 + ||x-y||^2/(2 eta)."""
-        dx = x - self.center
+        """The non-plane part (mu/2)||x-x0||^2 + ||x-y||^2/(2 eta); keeps
+        its squared distances in ``_sq``."""
+        s_x = 0.0
+        if self.half_mu != 0.0:
+            dx = x - self.center
+            s_x = float(dx @ dx)
         dy = x - self.y
-        return self.half_mu * float(dx @ dx) + float(dy @ dy) / self.two_eta
+        s_y = float(dy @ dy)
+        self._sq = (x, s_x, s_y)
+        return self.half_mu * s_x + s_y / self.two_eta
 
 
 @dataclass(eq=False, slots=True)
@@ -166,7 +179,8 @@ class CuttingPlane:
     """Linearization of f at ``anchor``: u -> f_val + <slope, u - anchor>.
 
     Like ``BundleResult``, a plain slotted record, built several times per
-    sweep and not changed after.
+    sweep and not changed after.  ``slope`` is a float array
+    (``prox_bundle`` converts the subgradient once, where it cuts the plane).
     """
 
     anchor: Array
@@ -257,7 +271,7 @@ def solve_model_subproblem(
     quad_part = obj.quad_part
     if n == 1:
         plane = planes[0]
-        x = c - eta_mu * np.asarray(plane.slope, dtype=float)
+        x = c - eta_mu * plane.slope
         return x, plane(x) + quad_part(x), 0.0
     if n == 2:
         x, top, gap = _two_plane_dual(planes[0], planes[1], c, eta_mu)
@@ -279,8 +293,7 @@ def _two_plane_dual(p1: CuttingPlane, p2: CuttingPlane, c: Array, curv: float):
     max(v) - <(1-w, w), v> is written as a product of nonnegative factors,
     so rounding cannot make it negative.
     """
-    s1 = np.asarray(p1.slope, dtype=float)
-    s2 = np.asarray(p2.slope, dtype=float)
+    s1, s2 = p1.slope, p2.slope
     b1, b2 = p1.offset, p2.offset
     ds = s2 - s1
     a = c - curv * s1
@@ -501,14 +514,15 @@ def prox_bundle(
     """
     _finite_real(delta, "delta")
     _integer_at_least(max_iter, "max_iter", 1)
-    f_value, f_subgrad, value = obj.f_value, obj.f_subgrad, obj._value
+    f_value, f_subgrad = obj.f_value, obj.f_subgrad
+    half_mu, two_eta = obj.half_mu, obj.two_eta
     gap_tol = min(delta / 100.0, 1e-10)
 
     # each point gets one value query, shared by its plane and its objective
     y = obj.y
     f_y = f_value(y)
     x_prev = y
-    planes = [CuttingPlane(y, f_y, f_subgrad(y))]
+    planes = [CuttingPlane(y, f_y, np.asarray(f_subgrad(y), dtype=float))]
     oracle_calls = 1
     x_best = y
     # g_y^eta(y) = g(y) + 0.0: no y - y, which is inf - inf at an infinite y
@@ -521,7 +535,14 @@ def prox_bundle(
     for j in range(1, max_iter + 1):
         x_j, m_j, qp_gap = solve_model_subproblem(planes, obj, gap_tol)
         f_j = f_value(x_j)
-        val_j = value(x_j, f_j)
+        # g_y^eta(x_j) as ``obj._value`` computes it, from the squared
+        # distances the model value took at x_j
+        if obj._sq[0] is not x_j:
+            obj.quad_part(x_j)
+        _, s_x, s_y = obj._sq
+        val_j = float(f_j) + half_mu * s_x
+        if math.isfinite(val_j):
+            val_j += s_y / two_eta
         if val_j < best_value:
             x_best = x_j
             best_value = val_j
@@ -534,7 +555,7 @@ def prox_bundle(
             x_prev = x_j
         if t_j <= delta or j == max_iter:
             break
-        planes.append(CuttingPlane(x_j, f_j, f_subgrad(x_j)))
+        planes.append(CuttingPlane(x_j, f_j, np.asarray(f_subgrad(x_j), dtype=float)))
         oracle_calls += 1
 
     res = BundleResult(

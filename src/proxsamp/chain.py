@@ -262,7 +262,9 @@ def gibbs_step(
     ``SamplerError`` of the inner oracle is re-raised with y added to its
     ``context``.  No step-size check: ``run_chain`` makes it once per chain.
     """
-    x_k = _check_point(x_k, obj.dim)
+    # the chain's own iterate passes without the cost of ``_check_point``
+    if type(x_k) is not np.ndarray or x_k.dtype != float or x_k.shape != (obj.dim,):
+        x_k = _check_point(x_k, obj.dim)
     y = x_k + obj.sqrt_eta * rng.standard_normal(obj.dim)
     obj._move(y)
     try:

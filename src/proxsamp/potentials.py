@@ -97,10 +97,14 @@ class RegularizedTarget:
     def _value(self, x: Array, f_x=None) -> float:
         """``value`` at a shape-(dim,) float array, without the shape check.
 
-        ``f_x`` is f(x) when the caller has already queried it.
+        ``f_x`` is f(x) when the caller has already queried it.  At mu = 0
+        the regularizer is skipped, not multiplied by 0, so a finite f(x)
+        stays finite where ||x - center||^2 overflows.
         """
         if f_x is None:
             f_x = self.base.value(x)
+        if self.mu == 0.0:
+            return float(f_x) + 0.0
         dx = x - self.center
         return float(f_x) + 0.5 * self.mu * float(dx @ dx)
 

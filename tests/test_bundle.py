@@ -18,6 +18,7 @@ from proxsamp import (
     gap_start_bound,
     iteration_bound_composite,
     iteration_bound_semismooth,
+    lower_envelope,
     make_gaussian,
     make_l1,
     make_power_norm,
@@ -371,6 +372,45 @@ class TestUncheckedPaths:
                                   s.bundle_iters, s.subgrad_calls))
                 digests.append(h.hexdigest())
             assert digests[0] == digests[1], mode
+
+    @pytest.mark.parametrize("name", ["l1", "power_norm", "quad_plus_l1", "hinge_sum", "gaussian"])
+    @pytest.mark.parametrize("mu", [0.0, 0.4])
+    def test_sweep_values_are_objective_values(self, name, mu, monkeypatch):
+        # prox_bundle and rgo_sample evaluate g_y^eta in their own frames,
+        # prox_bundle from the squared distances the model value took: each
+        # number is the bits of obj._value, also when those distances are
+        # not at hand (a solver whose point is not the quad_part point)
+        import proxsamp.bundle as bundle
+
+        dim = 3
+        pot = default_zoo(dim)[name]
+        eta, delta = select_params_composite(pot.profile, dim)
+        modes = ["bundle"] + (["exact"] if pot.prox is not None else [])
+        rng = np.random.default_rng(26)
+        for _ in range(10):
+            obj = make_obj(pot, mu, rng.standard_normal(dim), eta, rng.standard_normal(dim) * 2.0)
+            res = prox_bundle(obj, delta / 50.0)
+            assert res.best_value == obj._value(res.x_best)
+            for mode in modes:
+                s = rgo_sample(obj, RgoConfig(eta=eta, delta=delta, mode=mode), rng)
+                h1 = lower_envelope(s.x, s.center, s.envelope_offset, obj.inv_two_eta_mu)
+                assert s.log_accept_ratio == h1 - obj._value(s.x)
+            solve = bundle.solve_model_subproblem
+            with monkeypatch.context() as m:
+                m.setattr(bundle, "solve_model_subproblem", lambda *a: (lambda x, v, g: (x + 1e-9, v, g))(*solve(*a)))
+                moved = prox_bundle(obj, delta / 50.0)
+            assert moved.best_value == obj._value(moved.x_best)
+
+    def test_rows_equal_points_where_the_regularizer_overflows(self):
+        # at mu = 0, ||x - x0||^2 = inf is skipped, not multiplied by 0:
+        # near y = (1e200, 0) the values are finite, not nan, on rows too
+        obj = make_obj(make_l1(2, 1.0), 0.0, np.zeros(2), 0.5, [1e200, 0.0])
+        xs = np.array([[1e200, 0.0], [1e200, 0.5], [1e200, -2.0]])
+        with np.errstate(all="raise"):
+            points = [obj._value(x) for x in xs]
+            rows = obj._values(xs, obj.target.base.values(xs))
+        assert points == [1e200] * 3
+        assert rows.tolist() == points
 
 
 class TestProxBundle:

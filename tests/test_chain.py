@@ -376,6 +376,23 @@ class TestChain:
             gibbs_step(np.zeros(x_dim), obj, cfg, np.random.default_rng(0))
         assert obj.y is y0
 
+    @pytest.mark.parametrize("mode", ["bundle", "exact"])
+    def test_gibbs_step_converts_other_points_as_before(self, mode):
+        # only a float64 (d,) ndarray skips _check_point; a list, a scalar,
+        # another dtype or byte order is converted and gives the same sweep
+        obj = ProxObjective(RegularizedTarget(make_l1(1, 1.0), 0.0, np.zeros(1)), 0.1, np.zeros(1))
+        cfg = RgoConfig(eta=0.1, delta=0.1, mode=mode)
+
+        def sweep(x):
+            y, s = gibbs_step(x, obj, cfg, np.random.default_rng(3))
+            return y.tolist(), s.x.tolist(), s.rejections
+
+        want = sweep(np.array([0.5]))
+        for x in ([0.5], 0.5, np.array(0.5), np.array([0.5], dtype=np.float32), np.array([0.5], dtype=">f8")):
+            assert sweep(x) == want
+        with pytest.raises(ValueError, match=r"expected \(1,\)"):
+            gibbs_step(np.array([[0.5]]), obj, cfg, np.random.default_rng(3))
+
 
 
 class TestBoundaryChecks:

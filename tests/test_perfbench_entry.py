@@ -89,3 +89,36 @@ def test_verify_all_counts_one_sweep_per_stationarity_draw(perfbench, tmp_path, 
     work._count_calls()
     verify.suite_stationarity(n=50)
     assert work.counts == {"gibbs_step": 100, "run_chain": 0, "run_chain_sweeps": 0}
+
+
+def test_powernorm_sweeps_keep_the_two_plane_layer_spans(perfbench, tmp_path):
+    # power_norm at d = 20 takes two bundle iterations per sweep, the second
+    # a two-plane model QP: each iteration must still be its own span
+    tracing, workloads = perfbench
+    work = workloads.PowerNormCli(0, str(tmp_path))
+    work.N_ITERS = 3
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        state = work.setup(tracer)
+        res = work.round(1, state)
+    finally:
+        tracer.restore()
+    assert (res["failed"], res["error"]) == (0, None)
+    names = [tracer.names[i] for i in tracer.name_id]
+    children = {}
+    for i, p in enumerate(tracer.parent):
+        children.setdefault(p, []).append(i)
+
+    def spans_under(i, name):
+        return [j for j in children.get(i, []) if names[j] == name]
+
+    steps = [i for i, n in enumerate(names) if n == tracing.GIBBS]
+    assert len(steps) == res["sweeps"] == work.N_ITERS * work.N_CHAINS
+    for step in steps:
+        (rgo,) = spans_under(step, "rejection.rgo_sample")
+        (bundle,) = spans_under(rgo, "bundle.prox_bundle")
+        iterations = tracer.attr[bundle]
+        assert iterations == 2
+        assert len(spans_under(bundle, "bundle.solve_model_subproblem")) == iterations
+    assert names.count("cli.to_csv") == work.N_CHAINS

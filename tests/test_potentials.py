@@ -44,6 +44,13 @@ class TestRegularizedTarget:
         t = RegularizedTarget(make_l1(1, 1.0), 0.0, np.zeros(1))
         assert t.value(np.array([-2.0])) == pytest.approx(2.0)
 
+    def test_mu_zero_value_is_f_where_the_regularizer_overflows(self):
+        # 0.5 * 0 * ||x - center||^2 read nan, with an overflow warning, once
+        # the squared distance overflowed; at mu = 0 the target is f
+        t = RegularizedTarget(make_l1(1, 1.0), 0.0, np.zeros(1))
+        with np.errstate(all="raise"):
+            assert t.value([1e200]) == 1e200
+
     def test_value_direct_formula(self):
         t = RegularizedTarget(make_l1(1, 1.0), 2.0, np.zeros(1))
         assert t.value(np.array([1.0])) == pytest.approx(2.0)

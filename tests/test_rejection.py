@@ -25,6 +25,7 @@ from proxsamp import (
     rejection_bound,
     rgo_sample,
     run_chain,
+    select_params_composite,
     select_params_semismooth,
     upper_envelope,
 )
@@ -250,8 +251,12 @@ class TestRgoSample:
         eta, delta = select_params_semismooth(make_l1(1, 1.0).profile, 1)
         cfg = RgoConfig(eta=eta, delta=delta, mode=mode)
         obj = l1_objective(eta, 0.0)
+        # at mu = 0 an infinite y gives g_y^eta = inf: the regularizer is
+        # skipped, not multiplied by 0
+        where = "at the prox point of y" if mode == "exact" else "at y"
+        want = rf"g_y\^eta is inf {where} = \[inf\]$" if bad == math.inf else r"g_y\^eta is nan .*y = \[(nan|inf)\]"
         start = time.perf_counter()
-        with pytest.raises(ValueError, match=r"g_y\^eta is nan .*y = \[(nan|inf)\]"):
+        with pytest.raises(ValueError, match=want):
             gibbs_step(np.array([bad]), obj, cfg, np.random.default_rng(0))
         assert time.perf_counter() - start < 1.0
 
@@ -317,6 +322,69 @@ class TestRgoSample:
         obj = l1_objective(0.5, 1.0)
         with pytest.raises(ValueError):
             rgo_sample(obj, RgoConfig(eta=0.25, mode="exact"), np.random.default_rng(0))
+
+
+class _WideProposals:
+    """A Generator whose ``standard_normal`` draws are ``factor`` times
+    wider: proposals from N(center, factor^2 eta_mu I), the law of the
+    mutant that scales proposals by sqrt(eta) in place of sqrt(eta_mu)."""
+
+    def __init__(self, rng, factor):
+        self.rng, self.factor = rng, factor
+
+    def standard_normal(self, size):
+        return self.factor * self.rng.standard_normal(size)
+
+    def random(self):
+        return self.rng.random()
+
+
+class TestRgoLawAtPositiveMu:
+    """At a fixed y, accepted points follow exp(-g_y^eta) with mu > 0.
+
+    On make_gaussian(5, ones) that law is N(m, I/p) with p = lam + 1/eta,
+    lam = 1 + mu and m = (mu x0 + y/eta)/p.  The draws are standardized to
+    Z; the pooled coordinates of Z are tested with KS against N(0, 1) and
+    ||Z||^2 against chi^2_5, at 1% with Bonferroni over the 8 p-values of
+    the gate (2 modes x 2 mu x 2 tests).
+    """
+
+    DIM, N = 5, 10_000
+    LEVEL = 0.01 / 8
+    X0 = np.array([0.8, -0.5, 0.3, 1.0, -1.2])
+    Y = np.array([-0.7, 1.1, 0.4, -0.9, 0.6])
+
+    def p_values(self, mode, mu, rng):
+        from scipy import stats
+
+        pot = make_gaussian(self.DIM, np.ones(self.DIM))
+        eta, delta = select_params_composite(pot.profile, self.DIM)
+        obj = ProxObjective(RegularizedTarget(pot, mu, self.X0), eta, self.Y)
+        cfg = RgoConfig(eta=eta, delta=delta, mode=mode)
+        xs = np.array([rgo_sample(obj, cfg, rng).x for _ in range(self.N)])
+        prec = 1.0 + mu + 1.0 / eta
+        z = (xs - (mu * self.X0 + self.Y / eta) / prec) * math.sqrt(prec)
+        return (
+            stats.kstest(z.ravel(), "norm").pvalue,
+            stats.kstest((z * z).sum(axis=1), "chi2", args=(self.DIM,)).pvalue,
+        )
+
+    def test_law_gate(self):
+        p = {
+            (mode, mu): self.p_values(mode, mu, np.random.default_rng(seed))
+            for seed, (mode, mu) in enumerate([(m, mu) for m in ("exact", "bundle") for mu in (0.3, 2.0)])
+        }
+        assert min(min(v) for v in p.values()) >= self.LEVEL, p
+
+    @pytest.mark.parametrize("mode", ["exact", "bundle"])
+    def test_gate_rejects_proposals_scaled_by_sqrt_eta(self, mode):
+        # proposals of variance eta = (1 + eta mu) eta_mu, the law of the
+        # sqrt(eta) mutant, which only mu > 0 shows
+        pot = make_gaussian(self.DIM, np.ones(self.DIM))
+        eta = select_params_composite(pot.profile, self.DIM)[0]
+        wide = _WideProposals(np.random.default_rng(40), math.sqrt(1.0 + eta * 0.3))
+        _, p_chi2 = self.p_values(mode, 0.3, wide)
+        assert p_chi2 < self.LEVEL
 
 
 class TestRejectionBound:
