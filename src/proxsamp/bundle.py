@@ -141,11 +141,15 @@ class ProxObjective:
     def _value(self, x: Array, f_x=None) -> float:
         """``value`` at a shape-(dim,) float array, without the shape check.
 
-        ``f_x`` is f(x) when the caller has already queried it.  A
-        non-finite g(x) is returned as it is: g_y^eta is then non-finite
-        too, and x - y could be inf - inf.
+        ``f_x`` is f(x) when the caller has already queried it.  Where
+        mu/2 is 0 the regularizer is skipped, as in
+        ``RegularizedTarget._value``.  A non-finite g(x) is returned as it
+        is: g_y^eta is then non-finite too, and x - y could be inf - inf.
         """
-        g = self.g_value(x, f_x)
+        g = float(self.f_value(x) if f_x is None else f_x)
+        if self.half_mu != 0.0:
+            dx = x - self.center
+            g += self.half_mu * float(dx @ dx)
         if not math.isfinite(g):
             return g
         dy = x - self.y
@@ -179,13 +183,16 @@ class CuttingPlane:
     """Linearization of f at ``anchor``: u -> f_val + <slope, u - anchor>.
 
     Like ``BundleResult``, a plain slotted record, built several times per
-    sweep and not changed after.  ``slope`` is a float array
-    (``prox_bundle`` converts the subgradient once, where it cuts the plane).
+    sweep and not changed after.  ``slope`` is converted to a float array
+    once, when the plane is built, so the model solvers use it as it is.
     """
 
     anchor: Array
     f_val: float
     slope: Array
+
+    def __post_init__(self):
+        self.slope = np.asarray(self.slope, dtype=float)
 
     @property
     def offset(self) -> float:
@@ -522,7 +529,7 @@ def prox_bundle(
     y = obj.y
     f_y = f_value(y)
     x_prev = y
-    planes = [CuttingPlane(y, f_y, np.asarray(f_subgrad(y), dtype=float))]
+    planes = [CuttingPlane(y, f_y, f_subgrad(y))]
     oracle_calls = 1
     x_best = y
     # g_y^eta(y) = g(y) + 0.0: no y - y, which is inf - inf at an infinite y
@@ -535,8 +542,8 @@ def prox_bundle(
     for j in range(1, max_iter + 1):
         x_j, m_j, qp_gap = solve_model_subproblem(planes, obj, gap_tol)
         f_j = f_value(x_j)
-        # g_y^eta(x_j) as ``obj._value`` computes it, from the squared
-        # distances the model value took at x_j
+        # g_y^eta(x_j) with the bits of ``obj._value``, from the squared
+        # distances the model value took at x_j (s_x is 0 where mu/2 is)
         if obj._sq[0] is not x_j:
             obj.quad_part(x_j)
         _, s_x, s_y = obj._sq
@@ -555,7 +562,7 @@ def prox_bundle(
             x_prev = x_j
         if t_j <= delta or j == max_iter:
             break
-        planes.append(CuttingPlane(x_j, f_j, np.asarray(f_subgrad(x_j), dtype=float)))
+        planes.append(CuttingPlane(x_j, f_j, f_subgrad(x_j)))
         oracle_calls += 1
 
     res = BundleResult(

@@ -97,16 +97,18 @@ class RegularizedTarget:
     def _value(self, x: Array, f_x=None) -> float:
         """``value`` at a shape-(dim,) float array, without the shape check.
 
-        ``f_x`` is f(x) when the caller has already queried it.  At mu = 0
-        the regularizer is skipped, not multiplied by 0, so a finite f(x)
-        stays finite where ||x - center||^2 overflows.
+        ``f_x`` is f(x) when the caller has already queried it.  Where
+        mu/2 is 0 (mu = 0, or mu the smallest subnormal) the regularizer is
+        skipped, not multiplied by 0, so a finite f(x) stays finite where
+        ||x - center||^2 overflows.
         """
         if f_x is None:
             f_x = self.base.value(x)
-        if self.mu == 0.0:
+        half_mu = 0.5 * self.mu
+        if half_mu == 0.0:
             return float(f_x) + 0.0
         dx = x - self.center
-        return float(f_x) + 0.5 * self.mu * float(dx @ dx)
+        return float(f_x) + half_mu * float(dx @ dx)
 
     def subgrad(self, x: Array) -> Array:
         x = _check_point(x, self.base.dim)

@@ -210,11 +210,13 @@ def rgo_sample(
     """
     if cfg.eta != obj.eta and not math.isclose(cfg.eta, obj.eta, rel_tol=1e-12):
         raise ValueError(f"config eta {cfg.eta} differs from objective eta {obj.eta}")
+    value = obj._value
+
     bundle_iters = 0
     subgrad_calls = 0
     if cfg.mode == "exact":
         center = prox_of_target(obj)
-        offset = obj._value(center)
+        offset = value(center)
         if not math.isfinite(offset):
             raise ValueError(f"g_y^eta is {offset} at the prox point of y = {obj.y.tolist()}")
     else:
@@ -227,18 +229,9 @@ def rgo_sample(
     inv_two_eta_mu = obj.inv_two_eta_mu
     scale = obj.sqrt_eta_mu
     dim = obj.dim
-    f_value, x0, y, half_mu, two_eta = obj.f_value, obj.center, obj.y, obj.half_mu, obj.two_eta
     for k in range(MAX_REJECTIONS):
         x = center + scale * rng.standard_normal(dim)
-        # g_y^eta(x) with the bits of ``obj._value``, in this frame
-        g = float(f_value(x))
-        if half_mu != 0.0:
-            dx = x - x0
-            g += half_mu * float(dx @ dx)
-        if math.isfinite(g):
-            dy = x - y
-            g += float(dy @ dy) / two_eta
-        log_ratio = lower_envelope(x, center, offset, inv_two_eta_mu) - g
+        log_ratio = lower_envelope(x, center, offset, inv_two_eta_mu) - value(x)
         if log_ratio > 1e-9:
             raise EnvelopeViolationError(
                 f"lower envelope exceeds target by {log_ratio:.3e} at a proposal; "

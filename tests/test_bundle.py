@@ -376,10 +376,10 @@ class TestUncheckedPaths:
     @pytest.mark.parametrize("name", ["l1", "power_norm", "quad_plus_l1", "hinge_sum", "gaussian"])
     @pytest.mark.parametrize("mu", [0.0, 0.4])
     def test_sweep_values_are_objective_values(self, name, mu, monkeypatch):
-        # prox_bundle and rgo_sample evaluate g_y^eta in their own frames,
-        # prox_bundle from the squared distances the model value took: each
-        # number is the bits of obj._value, also when those distances are
-        # not at hand (a solver whose point is not the quad_part point)
+        # prox_bundle values its iterates from the squared distances the
+        # model value took: each number is the bits of obj._value, also when
+        # those distances are not at hand (a solver whose point is not the
+        # quad_part point); rgo_sample's accept ratios read obj._value
         import proxsamp.bundle as bundle
 
         dim = 3
@@ -411,6 +411,37 @@ class TestUncheckedPaths:
             rows = obj._values(xs, obj.target.base.values(xs))
         assert points == [1e200] * 3
         assert rows.tolist() == points
+
+    def test_one_rule_skips_the_regularizer_where_mu_halves_to_zero(self):
+        # mu = 5e-324 is not 0 but mu/2 rounds to 0: the target, the
+        # objective's points and its rows all skip the regularizer there
+        mu = 5e-324
+        target = RegularizedTarget(make_l1(2, 1.0), mu, np.zeros(2))
+        obj = ProxObjective(target, 0.5, np.array([1e200, 0.0]))
+        xs = np.array([[1e200, 0.0], [1e200, 0.5]])
+        with np.errstate(all="raise"):
+            assert [target.value(x) for x in xs] == [1e200, 1e200]
+            points = [obj._value(x) for x in xs]
+            rows = obj._values(xs, target.base.values(xs))
+            res = prox_bundle(obj, 1e-3)
+        assert points == [1e200, 1e200]
+        assert rows.tolist() == points
+        assert res.best_value == obj._value(res.x_best)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_list_slopes_give_the_array_slopes_bits(self, n):
+        # a plane converts its slope once, when it is built, so every plane
+        # count solves a list slope as it solves the float array
+        rng = np.random.default_rng(40 + n)
+        pot = make_l1(2, 1.0)
+        obj = make_obj(pot, 0.3, np.zeros(2), 0.5, [0.4, -0.2])
+        anchors = rng.standard_normal((n, 2))
+        arrays = [CuttingPlane(a, pot.value(a), pot.subgrad(a)) for a in anchors]
+        lists = [CuttingPlane(a, pot.value(a), pot.subgrad(a).tolist()) for a in anchors]
+        assert all(p.slope.dtype == float for p in lists)
+        x_a, v_a, g_a = solve_model_subproblem(arrays, obj)
+        x_l, v_l, g_l = solve_model_subproblem(lists, obj)
+        assert x_l.tolist() == x_a.tolist() and (v_l, g_l) == (v_a, g_a)
 
 
 class TestProxBundle:
