@@ -78,25 +78,21 @@ class ProxObjective:
     ``eta_mu`` = eta/(1 + eta*mu) is the curvature stepsize of g_y^eta
     (the objective is 1/eta_mu-strongly convex); ``eta_mu_l1`` additionally
     folds in the smooth coefficient of the potential.  ``quad_center`` =
-    eta_mu * (mu*x0 + y/eta) is the minimizer of ``quad_part``, computed on
-    its first read for each y, since exact mode at mu = 0 never reads it.
+    eta_mu * (mu*x0 + y/eta) is the minimizer of the non-plane part
+    (mu/2)||x - x0||^2 + ||x - y||^2/(2 eta), computed on each read.
 
     The constructor checks eta and y (finite, shape (dim,)) and computes
     every constant that does not depend on y once.  A chain builds one
-    objective and ``_move``s it to each auxiliary point it draws.  Every
-    attribute is read-only: y changes only through ``_move``, which also
-    drops the cached ``quad_center`` and ``_sq``, and the constants hold
-    for the eta and target given to the constructor, so build a new
-    objective for a new eta or target.  ``_sq`` = (x, ||x - x0||^2,
-    ||x - y||^2) holds the squared distances of the last ``quad_part``
-    point, so ``prox_bundle`` values a model minimizer without computing
-    them again; at mu = 0 the first distance is not computed and reads 0.
+    objective and sets its ``y`` to each auxiliary point it draws (a
+    shape-(dim,) float array, unchecked).  Nothing else depends on y, so
+    after that the objective reads as one built at the new y.  The
+    constants hold for the eta and target given to the constructor, so
+    build a new objective for a new eta or target.
     """
 
     __slots__ = (
-        "target", "dim", "f_value", "f_subgrad", "g_value", "eta", "eta_mu", "two_eta",
-        "half_mu", "center", "mu_center", "inv_two_eta_mu", "sqrt_eta", "sqrt_eta_mu",
-        "y", "_quad_center", "_sq",
+        "target", "dim", "f_value", "f_subgrad", "eta", "eta_mu", "two_eta", "half_mu",
+        "center", "mu_center", "inv_two_eta_mu", "sqrt_eta", "sqrt_eta_mu", "y",
     )
 
     def __init__(self, target: RegularizedTarget, eta: float, y: Array):
@@ -106,7 +102,6 @@ class ProxObjective:
         self.dim = base.dim
         self.f_value = base.value
         self.f_subgrad = base.subgrad
-        self.g_value = target._value
         self.eta = eta
         self.eta_mu = eta_mu_of(eta, target.mu)
         self.two_eta = 2.0 * eta
@@ -116,20 +111,11 @@ class ProxObjective:
         self.inv_two_eta_mu = 1.0 / (2.0 * self.eta_mu)
         self.sqrt_eta = math.sqrt(eta)
         self.sqrt_eta_mu = math.sqrt(self.eta_mu)
-        self._move(_finite_point(y, self.dim, "y"))
-
-    def _move(self, y: Array) -> None:
-        """Set the prox center to a shape-(dim,) float array y, unchecked."""
-        self.y = y
-        self._quad_center = None
-        self._sq = (None, 0.0, 0.0)
+        self.y = _finite_point(y, self.dim, "y")
 
     @property
     def quad_center(self) -> Array:
-        c = self._quad_center
-        if c is None:
-            c = self._quad_center = self.eta_mu * (self.mu_center + self.y / self.eta)
-        return c
+        return self.eta_mu * (self.mu_center + self.y / self.eta)
 
     @property
     def eta_mu_l1(self) -> float:
@@ -138,15 +124,14 @@ class ProxObjective:
     def value(self, x: Array) -> float:
         return self._value(_check_point(x, self.dim))
 
-    def _value(self, x: Array, f_x=None) -> float:
+    def _value(self, x: Array) -> float:
         """``value`` at a shape-(dim,) float array, without the shape check.
 
-        ``f_x`` is f(x) when the caller has already queried it.  Where
-        mu/2 is 0 the regularizer is skipped, as in
+        Where mu/2 is 0 the regularizer is skipped, as in
         ``RegularizedTarget._value``.  A non-finite g(x) is returned as it
         is: g_y^eta is then non-finite too, and x - y could be inf - inf.
         """
-        g = float(self.f_value(x) if f_x is None else f_x)
+        g = float(self.f_value(x))
         if self.half_mu != 0.0:
             dx = x - self.center
             g += self.half_mu * float(dx @ dx)
@@ -164,18 +149,6 @@ class ProxObjective:
             g = g + self.half_mu * _row_dots(dx, dx)
         dy = xs - self.y
         return g + _row_dots(dy, dy) / self.two_eta
-
-    def quad_part(self, x: Array) -> float:
-        """The non-plane part (mu/2)||x-x0||^2 + ||x-y||^2/(2 eta); keeps
-        its squared distances in ``_sq``."""
-        s_x = 0.0
-        if self.half_mu != 0.0:
-            dx = x - self.center
-            s_x = float(dx @ dx)
-        dy = x - self.y
-        s_y = float(dy @ dy)
-        self._sq = (x, s_x, s_y)
-        return self.half_mu * s_x + s_y / self.two_eta
 
 
 @dataclass(eq=False, slots=True)
@@ -243,22 +216,25 @@ class BundleResult:
 
 def solve_model_subproblem(
     planes: Sequence[CuttingPlane],
-    obj: ProxObjective,
+    c: Array,
+    curv: float,
     gap_tol: float = 1e-10,
 ):
-    """Exact minimizer of model + (mu/2)||.-x0||^2 + ||.-y||^2/(2 eta).
+    """Exact minimizer of model + ||. - c||^2/(2 curv) over the planes.
 
-    Solved through the dual: for simplex weights w over the planes the
-    primal point is u(w) = c - eta_mu * sum_i w_i slope_i, with c =
-    ``obj.quad_center``, and the concave dual <w, b + S c> - (eta_mu/2)
-    ||S'w||^2 (b the plane offsets, S the slopes) is maximized over the
-    simplex.  Its certificate gap max(v) - <w, v>, with v the plane values
-    at u(w), is the primal-dual gap of the model subproblem.
+    For g_y^eta, c = ``quad_center`` and curv = ``eta_mu``: the non-plane
+    part (mu/2)||.-x0||^2 + ||.-y||^2/(2 eta) is ||. - c||^2/(2 curv) plus
+    a constant.  Solved through the dual: for simplex weights w over the
+    planes the primal point is u(w) = c - curv * sum_i w_i slope_i, and the
+    concave dual <w, b + S c> - (curv/2)||S'w||^2 (b the plane offsets, S
+    the slopes) is maximized over the simplex.  Its certificate gap
+    max(v) - <w, v>, with v the plane values at u(w), is the primal-dual
+    gap of the model subproblem.
 
     One and two planes, the usual cases at regime step sizes, have closed
-    forms.  One plane: u = c - eta_mu * slope, gap 0.  Two planes: the dual
+    forms.  One plane: u = c - curv * slope, gap 0.  Two planes: the dual
     is concave in w = w_2 on [0, 1] and its maximizer is
-    w* = clip(((b2 - b1) + <s2 - s1, c - eta_mu s1>) / (eta_mu ||s2 - s1||^2),
+    w* = clip(((b2 - b1) + <s2 - s1, c - curv s1>) / (curv ||s2 - s1||^2),
     0, 1); identical slopes take the plane with the larger offset.  Its gap
     is the certificate at (1 - w*, w*), which is 0 up to rounding.  Three
     or more planes go to the finite active-set method ``_active_set_dual``,
@@ -266,28 +242,23 @@ def solve_model_subproblem(
     raise the dual beyond rounding; ``DUAL_MAX_ITER`` caps its pivots, and
     reaching the cap raises ``DualSolverError``.
 
-    Returns (x, value, gap) where value is the model objective at x and gap
-    the certificate gap at the solver's weights, so value - gap is the dual
-    value that minorizes the model objective.
+    Returns (x, top, gap) where top is the plane model max_i plane_i(x) of
+    f at x and gap the certificate gap at the solver's weights; the model
+    objective at x less gap is the dual value that minorizes it.
     """
     n = len(planes)
     if n == 0:
         raise ValueError("need at least one cutting plane")
-    c = obj.quad_center
-    eta_mu = obj.eta_mu
-    quad_part = obj.quad_part
     if n == 1:
         plane = planes[0]
-        x = c - eta_mu * plane.slope
-        return x, plane(x) + quad_part(x), 0.0
+        x = c - curv * plane.slope
+        return x, plane(x), 0.0
     if n == 2:
-        x, top, gap = _two_plane_dual(planes[0], planes[1], c, eta_mu)
-        return x, top + quad_part(x), gap
+        return _two_plane_dual(planes[0], planes[1], c, curv)
     S = np.stack([p.slope for p in planes])
     b = np.array([p.offset for p in planes])
-    x, gap, _ = _active_set_dual(S, b, c, eta_mu, gap_tol, DUAL_MAX_ITER)
-    value = model_value(planes, x) + quad_part(x)
-    return x, value, gap
+    x, gap, _ = _active_set_dual(S, b, c, curv, gap_tol, DUAL_MAX_ITER)
+    return x, model_value(planes, x), gap
 
 
 def _two_plane_dual(p1: CuttingPlane, p2: CuttingPlane, c: Array, curv: float):
@@ -522,7 +493,7 @@ def prox_bundle(
     _finite_real(delta, "delta")
     _integer_at_least(max_iter, "max_iter", 1)
     f_value, f_subgrad = obj.f_value, obj.f_subgrad
-    half_mu, two_eta = obj.half_mu, obj.two_eta
+    half_mu, two_eta, x0 = obj.half_mu, obj.two_eta, obj.center
     gap_tol = min(delta / 100.0, 1e-10)
 
     # each point gets one value query, shared by its plane and its objective
@@ -532,24 +503,34 @@ def prox_bundle(
     planes = [CuttingPlane(y, f_y, f_subgrad(y))]
     oracle_calls = 1
     x_best = y
-    # g_y^eta(y) = g(y) + 0.0: no y - y, which is inf - inf at an infinite y
-    best_value = obj.g_value(y, f_y) + 0.0
+    # g_y^eta(y) = (f(y) + (mu/2)||y - x0||^2) + 0.0: no y - y, which is
+    # inf - inf at an infinite y; ||. - x0||^2 is skipped where mu/2 is 0
+    s_x = 0.0
+    if half_mu != 0.0:
+        dx = y - x0
+        s_x = float(dx @ dx)
+    best_value = (float(f_y) + half_mu * s_x) + 0.0
     if not math.isfinite(best_value):
         raise ValueError(f"g_y^eta is {best_value} at y = {y.tolist()}")
+    c, curv = obj.quad_center, obj.eta_mu
 
     if record:
         gaps, step_norms, model_points = [], [], []
     for j in range(1, max_iter + 1):
-        x_j, m_j, qp_gap = solve_model_subproblem(planes, obj, gap_tol)
+        x_j, top, qp_gap = solve_model_subproblem(planes, c, curv, gap_tol)
         f_j = f_value(x_j)
-        # g_y^eta(x_j) with the bits of ``obj._value``, from the squared
-        # distances the model value took at x_j (s_x is 0 where mu/2 is)
-        if obj._sq[0] is not x_j:
-            obj.quad_part(x_j)
-        _, s_x, s_y = obj._sq
-        val_j = float(f_j) + half_mu * s_x
+        # the squared distances of x_j to x0 and y give both its model value
+        # and g_y^eta(x_j), the latter with the bits of ``obj._value``
+        s_x = 0.0
+        if half_mu != 0.0:
+            dx = x_j - x0
+            s_x = float(dx @ dx)
+        dy = x_j - y
+        q_x, q_y = half_mu * s_x, float(dy @ dy) / two_eta
+        m_j = top + (q_x + q_y)
+        val_j = float(f_j) + q_x
         if math.isfinite(val_j):
-            val_j += s_y / two_eta
+            val_j += q_y
         if val_j < best_value:
             x_best = x_j
             best_value = val_j

@@ -256,7 +256,7 @@ def gibbs_step(
 ):
     """One sweep: y_k = x_k + sqrt(eta) z, then x_{k+1} from the inner oracle.
 
-    ``obj`` is the chain's objective g_y^eta, moved to the drawn y_k;
+    ``obj`` is the chain's objective g_y^eta, its ``y`` set to the drawn y_k;
     x_k must have shape (dim,) (``ValueError`` otherwise), and a
     non-finite x_k makes the inner oracle raise ``ValueError`` naming y.  A
     ``SamplerError`` of the inner oracle is re-raised with y added to its
@@ -266,7 +266,7 @@ def gibbs_step(
     if type(x_k) is not np.ndarray or x_k.dtype != float or x_k.shape != (obj.dim,):
         x_k = _check_point(x_k, obj.dim)
     y = x_k + obj.sqrt_eta * rng.standard_normal(obj.dim)
-    obj._move(y)
+    obj.y = y
     try:
         sample = rgo_sample(obj, rgo_cfg, rng)
     except SamplerError as err:

@@ -94,27 +94,28 @@ class RegularizedTarget:
     def value(self, x: Array) -> float:
         return self._value(_check_point(x, self.base.dim))
 
-    def _value(self, x: Array, f_x=None) -> float:
+    def _value(self, x: Array) -> float:
         """``value`` at a shape-(dim,) float array, without the shape check.
 
-        ``f_x`` is f(x) when the caller has already queried it.  Where
-        mu/2 is 0 (mu = 0, or mu the smallest subnormal) the regularizer is
-        skipped, not multiplied by 0, so a finite f(x) stays finite where
-        ||x - center||^2 overflows.
+        Where mu/2 is 0 (mu = 0, or mu the smallest subnormal) the
+        regularizer is skipped, not multiplied by 0, so a finite f(x) stays
+        finite where ||x - center||^2 overflows.
         """
-        if f_x is None:
-            f_x = self.base.value(x)
+        f_x = float(self.base.value(x))
         half_mu = 0.5 * self.mu
         if half_mu == 0.0:
-            return float(f_x) + 0.0
+            return f_x + 0.0
         dx = x - self.center
-        return float(f_x) + half_mu * float(dx @ dx)
+        return f_x + half_mu * float(dx @ dx)
 
     def subgrad(self, x: Array) -> Array:
+        """f'(x) + mu (x - center); the regularizer is skipped where mu/2
+        is 0, as in ``_value``, so x - center may overflow there."""
         x = _check_point(x, self.base.dim)
-        return np.asarray(self.base.subgrad(x), dtype=float) + self.mu * (
-            x - self.center
-        )
+        g = np.asarray(self.base.subgrad(x), dtype=float)
+        if 0.5 * self.mu == 0.0:
+            return g + 0.0
+        return g + self.mu * (x - self.center)
 
 
 def value_rows(pot: Potential, xs: Array) -> Array:

@@ -29,8 +29,8 @@ from proxsamp import (
     select_params_semismooth,
     solve_model_subproblem,
 )
-from proxsamp.bundle import _ROUND_FLOOR, _active_set_dual, model_value
-from proxsamp.potentials import sample_in_ball
+from proxsamp.bundle import _ROUND_FLOOR, _active_set_dual, _two_plane_dual, model_value
+from proxsamp.potentials import sample_in_ball, value_rows
 from proxsamp.verify import bundle_case
 
 
@@ -43,11 +43,24 @@ def plane_at(pot, x):
     return CuttingPlane(anchor=x, f_val=pot.value(x), slope=pot.subgrad(x))
 
 
+def quad_part(obj, x):
+    """(mu/2)||x - x0||^2 + ||x - y||^2/(2 eta): g_y^eta's model objective
+    less the plane model."""
+    dx, dy = x - obj.center, x - obj.y
+    return obj.half_mu * float(dx @ dx) + float(dy @ dy) / obj.two_eta
+
+
+def solve(planes, obj, gap_tol=1e-10):
+    """The model QP of g_y^eta: (x, model objective at x, certificate gap)."""
+    x, top, gap = solve_model_subproblem(planes, obj.quad_center, obj.eta_mu, gap_tol)
+    return x, top + quad_part(obj, x), gap
+
+
 class TestModelSubproblem:
     def test_single_plane_closed_form(self):
         pot = make_l1(1, 1.0)
         obj = make_obj(pot, 0.0, np.zeros(1), 0.5, [2.0])
-        x, val, _ = solve_model_subproblem([plane_at(pot, [2.0])], obj)
+        x, val, _ = solve([plane_at(pot, [2.0])], obj)
         assert x[0] == pytest.approx(2.0 - 0.5 * 1.0)
         # grid oracle over the model objective
         u = np.arange(-4, 4, 1e-4)
@@ -61,14 +74,14 @@ class TestModelSubproblem:
             CuttingPlane(np.array([1.0]), 1.0, np.array([1.0])),
             CuttingPlane(np.array([-1.0]), 1.0, np.array([-1.0])),
         ]
-        x, val, _ = solve_model_subproblem(planes, obj)
+        x, val, _ = solve(planes, obj)
         assert x[0] == pytest.approx(0.0, abs=1e-10)
         assert val == pytest.approx(0.0, abs=1e-10)
 
     def test_regularized_2d_vs_grid(self):
         pot = make_gaussian(2, (1.0, 1.0))
         obj = make_obj(pot, 1.0, np.zeros(2), 1.0, [1.0, 0.0])
-        x, val, _ = solve_model_subproblem([plane_at(pot, [1.0, 0.0])], obj)
+        x, val, _ = solve([plane_at(pot, [1.0, 0.0])], obj)
         np.testing.assert_allclose(x, [0.0, 0.0], atol=1e-12)
         # dense grid cross-check
         g = np.linspace(-2, 2, 801)
@@ -84,7 +97,7 @@ class TestModelSubproblem:
         pot = make_l1(1, 1.0)
         obj = make_obj(pot, 0.3, np.array([0.5]), 0.7, [1.3])
         planes = [plane_at(pot, [a]) for a in (-2.0, -0.3, 0.9, 1.3)]
-        x, val, _ = solve_model_subproblem(planes, obj)
+        x, val, _ = solve(planes, obj)
         u = np.arange(-4, 4, 1e-5)
         model = np.max(
             [p.f_val + p.slope[0] * (u - p.anchor[0]) for p in planes], axis=0
@@ -102,7 +115,7 @@ class TestModelSubproblem:
         obj = make_obj(pot, 0.0, np.zeros(3), 1.0, rng.standard_normal(3))
         planes = [plane_at(pot, rng.standard_normal(3)) for _ in range(6)]
         with pytest.raises(DualSolverError) as exc:
-            solve_model_subproblem(planes, obj, gap_tol=0.0)
+            solve(planes, obj, gap_tol=0.0)
         assert exc.value.x.shape == (3,)
         assert exc.value.max_pivots == 1
         assert exc.value.n_planes == 6
@@ -138,7 +151,7 @@ class TestModelSubproblem:
                 model = np.max([p.f_val + (pts - p.anchor) @ p.slope for p in planes], axis=0)
                 return model + np.sum((pts - obj.y) ** 2, axis=-1) / (2.0 * eta)
 
-            x, val, _ = solve_model_subproblem(planes, obj)
+            x, val, _ = solve(planes, obj)
             assert val == pytest.approx(objective(x))
             # no grid point beats x, globally or in a fine patch around it
             assert val <= objective(box).min() + 1e-12
@@ -151,7 +164,7 @@ class TestModelSubproblem:
         obj = make_obj(pot, 0.2, np.zeros(2), 0.7, [0.4, -0.3])
         planes = [plane_at(pot, a) for a in ([0.5, -0.5], [-0.5, 0.5], [0.5, 0.5], [-0.2, -0.6])]
         for gap_tol in (1e-10, 1e-13):
-            x, val, qp_gap = solve_model_subproblem(planes, obj, gap_tol=gap_tol)
+            x, val, qp_gap = solve(planes, obj, gap_tol=gap_tol)
             assert 0.0 <= qp_gap <= gap_tol
         # and through prox_bundle, whose own tolerance is min(delta/100, 1e-10)
         res = prox_bundle(obj, delta=1e-6, record=True)
@@ -167,7 +180,7 @@ class TestModelSubproblem:
         for _ in range(20):
             obj = make_obj(pot, 0.2, np.zeros(2), 0.7, rng.standard_normal(2))
             planes = [plane_at(pot, a) for a in rng.standard_normal((5, 2)) * 0.7]
-            x, val, qp_gap = solve_model_subproblem(planes, obj, gap_tol=0.5)
+            x, val, qp_gap = solve(planes, obj, gap_tol=0.5)
             worst_gap = max(worst_gap, qp_gap)
             offset = envelope_offset(val, val, qp_gap, 1.0)
             u = x + rng.standard_normal((500, 2))
@@ -247,7 +260,7 @@ class TestTwoPlaneClosedForm:
     @pytest.mark.parametrize("kind,d,seed", TWO_PLANE_CASES)
     def test_matches_active_set_and_exact(self, kind, d, seed):
         planes, obj = two_plane_instance(kind, d, seed)
-        x, val, qp_gap = solve_model_subproblem(planes, obj)
+        x, val, qp_gap = solve(planes, obj)
         S = np.stack([p.slope for p in planes])
         b = np.array([p.offset for p in planes])
         u, gap, _ = _active_set_dual(S, b, obj.quad_center, obj.eta_mu, 1e-10, 100)
@@ -264,7 +277,7 @@ class TestTwoPlaneClosedForm:
         # everywhere else it agrees with the closed form to rounding
         if kind != "near-interior":
             assert np.abs(x - u).max() <= 1e-12 * size
-        assert val == pytest.approx(model_value(planes, u) + obj.quad_part(u), rel=1e-12)
+        assert val == pytest.approx(model_value(planes, u) + quad_part(obj, u), rel=1e-12)
         scale = np.abs(b).max() + np.abs(S).max() * (np.abs(x).sum() + np.abs(obj.quad_center).sum())
         assert 0.0 <= qp_gap <= 1e-12 * scale
 
@@ -297,7 +310,6 @@ class TestUncheckedPaths:
             obj = make_obj(pot, mu, rng.standard_normal(dim), rng.uniform(0.05, 2.0), rng.standard_normal(dim) * 2.0)
             x = rng.standard_normal(dim) * 3.0
             assert obj._value(x) == obj.value(x)
-            assert obj._value(x, pot.value(x)) == obj.value(x)
             assert obj.target._value(x) == obj.target.value(x)
 
     @pytest.mark.parametrize("name", ["l1", "power_norm", "quad_plus_l1", "hinge_sum", "gaussian"])
@@ -309,13 +321,13 @@ class TestUncheckedPaths:
         for _ in range(20):
             obj = make_obj(pot, mu, rng.standard_normal(dim), rng.uniform(0.05, 2.0), rng.standard_normal(dim) * 2.0)
             plane = plane_at(pot, obj.y + rng.standard_normal(dim))
-            x, val, qp_gap = solve_model_subproblem([plane], obj)
+            x, val, qp_gap = solve([plane], obj)
             u, gap, pivots = _active_set_dual(
                 plane.slope[None, :], np.array([plane.offset]), obj.quad_center, obj.eta_mu, 1e-10, 10
             )
             assert (qp_gap, gap, pivots) == (0.0, 0.0, 0)
             assert x.tolist() == u.tolist()
-            assert val == model_value([plane], u) + obj.quad_part(u)
+            assert val == model_value([plane], u) + quad_part(obj, u)
 
     @pytest.mark.parametrize("name", ["l1", "power_norm", "quad_plus_l1", "hinge_sum", "gaussian"])
     def test_one_value_query_per_point(self, name):
@@ -352,10 +364,10 @@ class TestUncheckedPaths:
                         res.best_value, res.model_value, res.qp_gap)
 
         for y in points:
-            moved._move(y)
+            moved.y = y
             fresh = ProxObjective(target, eta, y)
             x = rng.standard_normal(dim) * 3.0
-            assert bits(moved.value(x), moved.quad_part(x)) == bits(fresh.value(x), fresh.quad_part(x))
+            assert bits(moved.value(x), quad_part(moved, x)) == bits(fresh.value(x), quad_part(fresh, x))
             assert bits(moved.quad_center) == bits(fresh.quad_center)
             assert result_bits(prox_bundle(moved, delta)) == result_bits(prox_bundle(fresh, delta))
 
@@ -363,7 +375,7 @@ class TestUncheckedPaths:
         for mode in modes:
             cfg = RgoConfig(eta=eta, delta=delta, mode=mode)
             digests = []
-            for objective_at in (lambda y: moved._move(y) or moved, lambda y: ProxObjective(target, eta, y)):
+            for objective_at in (lambda y: setattr(moved, "y", y) or moved, lambda y: ProxObjective(target, eta, y)):
                 draws = np.random.default_rng(25)
                 h = hashlib.sha256()
                 for y in points:
@@ -375,11 +387,70 @@ class TestUncheckedPaths:
 
     @pytest.mark.parametrize("name", ["l1", "power_norm", "quad_plus_l1", "hinge_sum", "gaussian"])
     @pytest.mark.parametrize("mu", [0.0, 0.4])
+    def test_objective_keeps_no_per_point_state(self, name, mu):
+        # after construction only y changes: whichever points y was set to
+        # before, in whatever order, the objective reads as one built at y
+        dim = 3
+        pot = default_zoo(dim)[name]
+        eta, delta = select_params_composite(pot.profile, dim)
+        target = RegularizedTarget(pot, mu, np.linspace(-0.5, 0.5, dim))
+        rng = np.random.default_rng(27)
+        points = [rng.standard_normal(dim) * 2.0 for _ in range(4)]
+        xs = rng.standard_normal((5, dim)) * 3.0
+        f_xs = value_rows(pot, xs)
+        obj = ProxObjective(target, eta, points[0])
+        assert not {"_sq", "_quad_center", "g_value"} & set(ProxObjective.__slots__)
+        constants = {k: getattr(obj, k) for k in ProxObjective.__slots__ if k != "y"}
+
+        def reads(o):
+            res = prox_bundle(o, delta)
+            vals = (o.quad_center, [o._value(x) for x in xs], o._values(xs, f_xs),
+                    res.x_model, res.best_value, res.model_value, res.qp_gap)
+            return np.hstack(vals).astype("<f8").tobytes()
+
+        fresh = [reads(ProxObjective(target, eta, y)) for y in points]
+        for order in ([0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1, 1, 2]):
+            for i in order:
+                obj.y = points[i]
+                assert reads(obj) == fresh[i], (order, i)
+        assert all(getattr(obj, k) is v for k, v in constants.items())
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_solver_takes_planes_centre_and_curvature(self, n):
+        # no objective: plain arrays and a float curvature in, the point, the
+        # plane model of f there and the certificate gap out
+        rng = np.random.default_rng(50 + n)
+        d, curv = 3, 0.7
+        planes = [
+            CuttingPlane(rng.standard_normal(d), float(rng.standard_normal()), rng.standard_normal(d))
+            for _ in range(n)
+        ]
+        c = rng.standard_normal(d)
+        x, top, gap = solve_model_subproblem(planes, c, curv)
+        if n == 1:
+            assert x.tolist() == (c - curv * planes[0].slope).tolist()
+            assert (top, gap) == (planes[0](x), 0.0)
+        elif n == 2:
+            u, v, g = _two_plane_dual(planes[0], planes[1], c, curv)
+            assert (x.tolist(), top, gap) == (u.tolist(), v, g)
+        else:
+            assert top == model_value(planes, x)
+            assert 0.0 <= gap <= 1e-10
+        assert top == pytest.approx(model_value(planes, x), rel=1e-12)
+
+        def objective(u):
+            return model_value(planes, u) + float((u - c) @ (u - c)) / (2.0 * curv)
+
+        for _ in range(200):
+            assert objective(x) <= objective(x + 0.1 * rng.standard_normal(d)) + 1e-12
+
+    @pytest.mark.parametrize("name", ["l1", "power_norm", "quad_plus_l1", "hinge_sum", "gaussian"])
+    @pytest.mark.parametrize("mu", [0.0, 0.4])
     def test_sweep_values_are_objective_values(self, name, mu, monkeypatch):
-        # prox_bundle values its iterates from the squared distances the
-        # model value took: each number is the bits of obj._value, also when
-        # those distances are not at hand (a solver whose point is not the
-        # quad_part point); rgo_sample's accept ratios read obj._value
+        # prox_bundle values its iterates from the squared distances it
+        # takes for the model value: each number is the bits of obj._value,
+        # also at a point the solver moved; rgo_sample's accept ratios read
+        # obj._value
         import proxsamp.bundle as bundle
 
         dim = 3
@@ -439,8 +510,8 @@ class TestUncheckedPaths:
         arrays = [CuttingPlane(a, pot.value(a), pot.subgrad(a)) for a in anchors]
         lists = [CuttingPlane(a, pot.value(a), pot.subgrad(a).tolist()) for a in anchors]
         assert all(p.slope.dtype == float for p in lists)
-        x_a, v_a, g_a = solve_model_subproblem(arrays, obj)
-        x_l, v_l, g_l = solve_model_subproblem(lists, obj)
+        x_a, v_a, g_a = solve(arrays, obj)
+        x_l, v_l, g_l = solve(lists, obj)
         assert x_l.tolist() == x_a.tolist() and (v_l, g_l) == (v_a, g_a)
 
 
@@ -576,11 +647,11 @@ class TestBundleInvariants:
             # model subproblem minimizers satisfy the strong-convexity bound
             for j, xj in enumerate(res.model_points, start=1):
                 fj = reconstruct_model(res.planes, j)
-                mj = fj(xj) + obj.quad_part(xj)
+                mj = fj(xj) + quad_part(obj, xj)
                 for _ in range(20):
                     u = sample_in_ball(rng, dim, 4.0)
                     lhs = mj + float((u - xj) @ (u - xj)) / (2.0 * obj.eta_mu)
-                    assert lhs <= fj(u) + obj.quad_part(u) + 1e-10
+                    assert lhs <= fj(u) + quad_part(obj, u) + 1e-10
             # gap sequence: non-increasing, semi-smooth recursion, t1 bound
             gaps = res.gaps
             for a, b in zip(gaps, gaps[1:]):

@@ -339,6 +339,48 @@ class TestSample:
         for name in ("chain_000.csv", "chain_001.csv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
+    # sha256 of each chain CSV, recorded with numpy 2.4.6: a change that
+    # keeps the sampler's bits keeps these files' bytes.  power_norm at
+    # d = 20 runs two bundle iterations and a two-plane model QP per sweep,
+    # l1 in exact mode runs two worker processes, and gaussian at d = 5 with
+    # delta = 1e-6 takes up to 5 bundle iterations, so the active-set QP.
+    CSV_DIGESTS = {
+        "power_norm": (
+            {"name": "power_norm", "dim": 20, "params": {"alpha": 0.5}},
+            {"kind": "semi-smooth", "eps": 0.2, "mu": 0.0, "rgo_mode": "bundle"},
+            {"n_iters": 300, "n_chains": 2, "seed": 3, "workers": 1},
+            ["7392922c4ca84d984e9fcd42b0d977e5097ff414658fb2aefe68be89d5d7d470",
+             "36905c240ad55eb42ca4061707baaf45561c7e5e93b74bcc42bf461869a2b828"],
+        ),
+        "l1-exact": (
+            {"name": "l1", "dim": 1},
+            {"kind": "semi-smooth", "eps": 0.2, "rgo_mode": "exact"},
+            {"n_iters": 200, "n_chains": 3, "seed": 5, "workers": 2},
+            ["adc2f272a79e8cd025244221196f6b33cfa372965ce1be9db5c5166df8ec85da",
+             "7b5dfd8d8adeebd09acd8b444db2540d716a9a0b61bd55adf0908a3546b96581",
+             "cc452d3ccbbcabaca179a105facb598fd8d3335d5d6e7237a4540c000d33416a"],
+        ),
+        "gaussian": (
+            {"name": "gaussian", "dim": 5},
+            {"kind": "composite", "mu": 0.3, "delta": 1e-6, "rgo_mode": "bundle"},
+            {"n_iters": 200, "n_chains": 2, "seed": 4},
+            ["b671483e83b3adab24e4fea9fc6e1286f9e41f5184dc8f17215622355fe9a64f",
+             "f565c8d80cb3317937ff8536bbf5c03fb45d9657013025d12479815626caa21a"],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CSV_DIGESTS))
+    def test_chain_csv_bytes_are_pinned(self, capsys, tmp_path, case):
+        import hashlib
+
+        target, regime, chain, digests = self.CSV_DIGESTS[case]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"target": target, "regime": regime, "chain": chain}))
+        out_dir = tmp_path / "out"
+        assert run_cli(["sample", "--config", str(cfg), "--out-dir", str(out_dir)], capsys)[0] == 0
+        files = sorted(out_dir.glob("chain_*.csv"))
+        assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in files] == digests
+
     def test_wall_clock_includes_csv_writing(self, capsys, tmp_path, monkeypatch):
         from proxsamp.chain import ChainTrace
 

@@ -51,6 +51,14 @@ class TestRegularizedTarget:
         with np.errstate(all="raise"):
             assert t.value([1e200]) == 1e200
 
+    def test_mu_zero_subgrad_is_f_subgrad_where_x_minus_center_overflows(self):
+        # 0 * (x - center) read nan, with overflow and invalid-value warnings,
+        # once x - center overflowed; at mu = 0 the subgradient is f's
+        t = RegularizedTarget(make_l1(1, 1.0), 0.0, [-1e308])
+        with np.errstate(all="raise"):
+            assert t.value([1e308]) == 1e308
+            assert t.subgrad([1e308]).tolist() == [1.0]
+
     def test_value_direct_formula(self):
         t = RegularizedTarget(make_l1(1, 1.0), 2.0, np.zeros(1))
         assert t.value(np.array([1.0])) == pytest.approx(2.0)
