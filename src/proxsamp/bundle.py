@@ -128,7 +128,7 @@ class ProxObjective:
         """``value`` at a shape-(dim,) float array, without the shape check.
 
         Where mu/2 is 0 the regularizer is skipped, as in
-        ``RegularizedTarget._value``.  A non-finite g(x) is returned as it
+        ``RegularizedTarget.value``.  A non-finite g(x) is returned as it
         is: g_y^eta is then non-finite too, and x - y could be inf - inf.
         """
         g = float(self.f_value(x))

@@ -72,7 +72,7 @@ def _config_keys(keys: str):
     ``UsageError`` naming the config ``keys`` it came from."""
     try:
         yield
-    except (ValueError, TypeError, KeyError) as e:
+    except (ValueError, TypeError, KeyError, OverflowError) as e:
         what = f"missing {e}" if isinstance(e, KeyError) else e
         raise UsageError(f"{what} ({keys} in the config)") from e
 
@@ -97,6 +97,8 @@ def load_config(path=None) -> dict:
                 user = json.load(fh)
         except (OSError, json.JSONDecodeError) as e:
             raise UsageError(f"cannot read config {path}: {e}")
+        if not isinstance(user, dict):
+            raise UsageError(f"config {path} must be a JSON object, got {type(user).__name__}")
         for section, values in user.items():
             if section not in cfg:
                 raise UsageError(f"unknown config section {section!r}")
@@ -131,6 +133,9 @@ def resolve_parameters(cfg: dict) -> dict:
             raise ValueError(f"unknown regime kind {kind!r}")
         if kind == "strongly-convex" and profile.lambda_strong <= 0:
             raise ValueError(f"{pot.name} declares no strong convexity (lambda_strong = 0)")
+    for key in ("eta", "delta", "eps", "mu"):  # JSON numbers only: not true, not "0.1"
+        if rsec.get(key) is not None and type(rsec[key]) not in (int, float):
+            raise UsageError(f"{key} must be a number, got {rsec[key]!r} (regime.{key} in the config)")
     with _config_keys("regime.eta, regime.delta, regime.rgo_mode"):
         if rsec.get("eta") is not None:
             eta = float(rsec["eta"])
@@ -217,9 +222,10 @@ def _run_one_chain(payload):
 
 def cmd_sample(args) -> int:
     cfg = load_config(args.config)
-    out_dir = args.out_dir or cfg["output"]["dir"] or os.environ.get(
-        OUTPUT_DIR_ENV, "runs"
-    )
+    cfg_dir = cfg["output"]["dir"]
+    if cfg_dir is not None and not isinstance(cfg_dir, str):
+        raise UsageError(f"dir must be a string, got {cfg_dir!r} (output.dir in the config)")
+    out_dir = args.out_dir or cfg_dir or os.environ.get(OUTPUT_DIR_ENV, "runs")
     p = resolve_parameters(cfg)
     pot = p["potential"]
     csec = cfg["chain"]

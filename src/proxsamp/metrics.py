@@ -39,15 +39,6 @@ def tv_hist(samples: Array, truth: QuadratureDensity, bins: Optional[int] = None
     return 0.5 * (float(np.sum(np.abs(p_hat - p))) + outside + (1.0 - p.sum()))
 
 
-def tv_noise_floor(
-    truth: QuadratureDensity, n: int, bins: int, reps: int = 20, seed: int = 0
-) -> tuple:
-    """Simulated (mean, std) of tv_hist on samples drawn from the truth itself."""
-    rng = np.random.default_rng(seed)
-    vals = [tv_hist(truth.sample(rng, n), truth, bins) for _ in range(reps)]
-    return float(np.mean(vals)), float(np.std(vals))
-
-
 def ks_1samp(samples: Array, cdf: Callable[[Array], Array]) -> float:
     """One-sample KS statistic against a CDF callable (1D).
 

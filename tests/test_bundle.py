@@ -310,7 +310,6 @@ class TestUncheckedPaths:
             obj = make_obj(pot, mu, rng.standard_normal(dim), rng.uniform(0.05, 2.0), rng.standard_normal(dim) * 2.0)
             x = rng.standard_normal(dim) * 3.0
             assert obj._value(x) == obj.value(x)
-            assert obj.target._value(x) == obj.target.value(x)
 
     @pytest.mark.parametrize("name", ["l1", "power_norm", "quad_plus_l1", "hinge_sum", "gaussian"])
     @pytest.mark.parametrize("mu", [0.0, 0.4])

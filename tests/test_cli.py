@@ -255,6 +255,34 @@ class TestParams:
         assert out == ""
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"regime": {"eta": True}}, "eta must be a number, got True (regime.eta in the config)"),
+            ({"regime": {"eta": "0.1"}}, "eta must be a number, got '0.1' (regime.eta in the config)"),
+            ({"regime": {"delta": True}}, "delta must be a number, got True (regime.delta in the config)"),
+            ({"regime": {"eps": True}}, "eps must be a number, got True (regime.eps in the config)"),
+            ({"regime": {"mu": True}}, "mu must be a number, got True (regime.mu in the config)"),
+            ({"target": {"name": "l1", "dim": 1, "params": {"scale": True}}},
+             "scale must be a real number, got True (target in the config)"),
+            ({"target": {"name": "power_norm", "dim": 2, "params": {"alpha": True}}},
+             "alpha must be in [0, 1], got True (target in the config)"),
+            ({"regime": {"eta": 10**400}}, "int too large to convert to float (regime.eta, "),
+        ],
+        ids=["eta-bool", "eta-string", "delta-bool", "eps-bool", "mu-bool", "scale-bool", "alpha-bool",
+             "eta-huge-int"],
+    )
+    def test_bool_string_or_huge_number_is_usage_error(self, capsys, tmp_path, config, message):
+        # true and "0.1" are not JSON numbers: read as 1 and 0.1 they would
+        # run a chain nobody asked for; an integer beyond float range must
+        # not end in a traceback either
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(["params", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert message in err
+        assert out == ""
+
     def test_unknown_regime_kind_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"regime": {"kind": "smooth"}}))
@@ -626,6 +654,26 @@ class TestVerify:
 
 
 class TestConfig:
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("config", "[1]", "must be a JSON object, got list"),
+            ("params", "null", "must be a JSON object, got NoneType"),
+            ("params", "3", "must be a JSON object, got int"),
+            ("sample", '{"output": {"dir": 5}}', "dir must be a string, got 5 (output.dir in the config)"),
+        ],
+        ids=["list", "null", "number", "output-dir"],
+    )
+    def test_malformed_config_shape_is_usage_error(self, capsys, tmp_path, monkeypatch, command, text, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+        assert code == 2
+        assert message in err
+        assert out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
     def test_defaults_json(self, capsys):
         code, out, _ = run_cli(["config", "--defaults"], capsys)
         assert code == 0

@@ -6,7 +6,6 @@ from proxsamp.metrics import (
     ks_1samp,
     ks_2samp,
     ks_critical,
-    tv_noise_floor,
     two_sample_n_eff,
 )
 
@@ -55,11 +54,6 @@ class TestTvHist:
         truth_2d = QuadratureDensity.build(make_gaussian(2, (1.0, 1.0)).value, 2, n_points=21)
         with pytest.raises(ValueError, match="1D only"):
             tv_hist(np.zeros((10, 2)), truth_2d)
-
-    def test_noise_floor_calibration(self, gauss_truth):
-        mean, sd = tv_noise_floor(gauss_truth, 10_000, 22, reps=10, seed=3)
-        assert 0.0 < mean < 0.1
-        assert sd < mean
 
 
 class TestKs:

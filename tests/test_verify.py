@@ -1,12 +1,15 @@
 """Shape of the `verify` report at small sizes: the fields the benchmark's
 gate re-derivation reads, and the closed-form proposal bounds."""
 
+import json
 import math
 from dataclasses import replace
 
 import pytest
 
+import proxsamp.chain as chain
 import proxsamp.verify as verify
+from proxsamp.bundle import ProxObjective
 from proxsamp.verify import suite_acceptance_bounds, suite_bundle_bounds, suite_sandwich, suite_stationarity
 
 
@@ -72,7 +75,26 @@ def test_sandwich_suite_fails_on_a_nan_case(monkeypatch):
 def test_tv_decay_default_size_passes():
     rep = verify.suite_tv_decay()
     assert rep.passed
-    assert rep.details["checkpoints"] == [0, 10, 20, 30, 40]
-    # the chains start at x = 3, far in the tail of N(0, 1), and mix
-    tv = rep.details["tv"]
-    assert tv[0] > 0.5 > 0.1 > tv[-1]
+    assert rep.details["checkpoints"] == [1, 2, 3, 5, 10, 40]
+    # eta = 1 and lam = 1 halve the mean and the distance of the variance
+    # to 1 per sweep, from the start x = 3
+    for case in rep.details["cases"]:
+        k = case["k"]
+        assert case["mean"] == 3.0 * 2.0**-k
+        assert case["var"] == 1.0 - 4.0**-k
+    json.dumps(rep.details, allow_nan=False)
+
+
+@pytest.mark.parametrize("scale", ["sqrt_eta", "sqrt_eta_mu"], ids=["y_draw", "proposals"])
+def test_tv_decay_fails_on_a_sampler_20pct_too_wide(monkeypatch, scale):
+    # a y draw (sqrt_eta) or a proposal (sqrt_eta_mu) 20% wider changes the
+    # chain's law; the closed form must see it at the suite's default size
+    class Wider(ProxObjective):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            setattr(self, scale, 1.2 * getattr(self, scale))
+
+    monkeypatch.setattr(chain, "ProxObjective", Wider)
+    assert not verify.suite_tv_decay().passed
