@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,7 +58,7 @@ class BundleLimitError(SamplerError):
     """Iteration cap hit before the gap dropped below delta.
 
     Usually signals a mis-specified (eta, delta) pair; carries the last
-    BundleResult for diagnosis.
+    BundleResult, whose ``gaps`` hold the whole gap history, for diagnosis.
     """
 
     def __init__(self, message: str, result=None):
@@ -194,9 +194,9 @@ class BundleResult:
     ||x - x_model||^2/(2 eta_mu), which is the offset of the sampler's
     lower envelope (``envelope_offset``).
 
-    With ``prox_bundle(..., record=True)``, ``gaps``/``step_norms``/
-    ``model_points`` hold the per-iteration trajectory and ``planes`` the
-    anchors in insertion order; otherwise they are None.
+    ``gaps`` holds t_1..t_J and ``planes`` the J cuts in insertion order:
+    plane 0 is cut at y and plane j at the model point x_j; ``x_model`` is
+    x_J, where no plane is cut.
     """
 
     x_model: Array
@@ -208,10 +208,8 @@ class BundleResult:
     model_value: float
     delta: float
     qp_gap: float
-    gaps: Optional[tuple] = None
-    step_norms: Optional[tuple] = None
-    model_points: Optional[tuple] = None
-    planes: Optional[tuple] = None
+    gaps: tuple = ()
+    planes: tuple = ()
 
 
 def solve_model_subproblem(
@@ -476,7 +474,6 @@ def prox_bundle(
     obj: ProxObjective,
     delta: float,
     max_iter: int = 1000,
-    record: bool = False,
 ) -> BundleResult:
     """Run the cutting-plane loop until the gap certificate drops below delta.
 
@@ -487,8 +484,7 @@ def prox_bundle(
     gap <= delta.  Termination comparisons are absolute, no rescaling.
     Reaching ``max_iter`` above delta raises ``BundleLimitError`` with the
     result, one oracle call per iteration.  A non-finite g_y^eta at y (y
-    not finite) raises ``ValueError``.  ``record`` keeps the per-iteration
-    trajectory in the result.
+    not finite) raises ``ValueError``.
     """
     _finite_real(delta, "delta")
     _integer_at_least(max_iter, "max_iter", 1)
@@ -499,7 +495,6 @@ def prox_bundle(
     # each point gets one value query, shared by its plane and its objective
     y = obj.y
     f_y = f_value(y)
-    x_prev = y
     planes = [CuttingPlane(y, f_y, f_subgrad(y))]
     oracle_calls = 1
     x_best = y
@@ -514,8 +509,7 @@ def prox_bundle(
         raise ValueError(f"g_y^eta is {best_value} at y = {y.tolist()}")
     c, curv = obj.quad_center, obj.eta_mu
 
-    if record:
-        gaps, step_norms, model_points = [], [], []
+    gaps = []
     for j in range(1, max_iter + 1):
         x_j, top, qp_gap = solve_model_subproblem(planes, c, curv, gap_tol)
         f_j = f_value(x_j)
@@ -535,12 +529,7 @@ def prox_bundle(
             x_best = x_j
             best_value = val_j
         t_j = best_value - m_j
-        if record:
-            gaps.append(t_j)
-            step = x_j - x_prev
-            step_norms.append(math.sqrt(step @ step))
-            model_points.append(x_j)
-            x_prev = x_j
+        gaps.append(t_j)
         if t_j <= delta or j == max_iter:
             break
         planes.append(CuttingPlane(x_j, f_j, f_subgrad(x_j)))
@@ -556,12 +545,9 @@ def prox_bundle(
         model_value=m_j,
         delta=delta,
         qp_gap=qp_gap,
+        gaps=tuple(gaps),
+        planes=tuple(planes),
     )
-    if record:
-        res.gaps = tuple(gaps)
-        res.step_norms = tuple(step_norms)
-        res.model_points = tuple(model_points)
-        res.planes = tuple(planes)
     if t_j <= delta:
         return res
     raise BundleLimitError(

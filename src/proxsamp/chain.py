@@ -21,7 +21,7 @@ import numpy as np
 
 from .bundle import ProxObjective, SamplerError
 from .potentials import Array, Potential, RegularizedTarget, SmoothnessProfile
-from .potentials import _check_point, _finite_point, _finite_real, _integer_at_least
+from .potentials import _check_point, _finite_point, _finite_real, _in_float_range, _integer_at_least
 from .quadrature import QuadratureDensity
 from .rejection import (
     RgoConfig,
@@ -126,6 +126,11 @@ def moment_estimate(potential: Potential) -> MomentEstimate:
 
     if potential.fourth_moment is not None and x_min is not None:
         m4 = potential.fourth_moment
+        if not 0.0 < m4 < math.inf:
+            raise ValueError(
+                f"the mu rule needs the fourth moment of {potential.name}, which leaves "
+                f"float range ({m4}) at its parameters: set mu explicitly"
+            )
         source = "analytic"
     elif potential.dim <= 2:
         try:
@@ -224,7 +229,11 @@ def select_num_iters(
         h0 = float(d) if h0 is None else float(_finite_real(h0, "h0", strict=False))
         rate = 2.0 * math.log1p(mu * eta)
         target = eps * eps / 2.0
-        k = max(1, math.ceil(math.log(max(h0 / target, 1.0 + 1e-12)) / rate))
+        steps = _in_float_range(
+            lambda: math.log(max(h0 / target, 1.0 + 1e-12)) / rate,
+            "the KL-contraction budget log(h0/(eps^2/2)) / (2 log(1 + mu eta))", eps=eps, mu=mu, eta=eta,
+        )
+        k = max(1, math.ceil(steps))
         return IterationBudget(
             n_iters=k,
             rate_per_iter=rate,
@@ -233,7 +242,10 @@ def select_num_iters(
             rule="kl-contraction",
         )
     w2sq = float(d) if w2sq is None else float(_finite_real(w2sq, "w2sq", strict=False))
-    k = max(1, math.ceil(w2sq / (eps * eta)))
+    steps = _in_float_range(
+        lambda: w2sq / (eps * eta), "the convex budget w2sq/(eps eta)", strict=False, w2sq=w2sq, eps=eps, eta=eta
+    )
+    k = max(1, math.ceil(steps))
     return IterationBudget(
         n_iters=k,
         rate_per_iter=0.0,

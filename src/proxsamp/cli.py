@@ -124,13 +124,13 @@ def resolve_parameters(cfg: dict) -> dict:
     kind = rsec["kind"]
     profile = pot.profile
 
-    with _config_keys("regime.kind"):
+    if kind not in ("semi-smooth", "composite", "strongly-convex"):
+        raise UsageError(f"unknown regime kind {kind!r} (regime.kind in the config)")
+    with _config_keys("target, regime.kind"):
         if kind == "semi-smooth":
             eta, delta = select_params_semismooth(profile, dim)
-        elif kind in ("composite", "strongly-convex"):
-            eta, delta = select_params_composite(profile, dim)
         else:
-            raise ValueError(f"unknown regime kind {kind!r}")
+            eta, delta = select_params_composite(profile, dim)
         if kind == "strongly-convex" and profile.lambda_strong <= 0:
             raise ValueError(f"{pot.name} declares no strong convexity (lambda_strong = 0)")
     for key in ("eta", "delta", "eps", "mu"):  # JSON numbers only: not true, not "0.1"

@@ -60,7 +60,8 @@ class Potential:
     (eta, y) to argmin f + ||.-y||^2/(2 eta).  ``sample_exact`` draws n iid
     points from exp(-f) (the l1 and Gaussian families provide it).
     ``fourth_moment`` is the analytic value of E||x - x_min||^4 under
-    exp(-f) when known; every ``default_zoo`` target has one.
+    exp(-f) when known (nan, 0 or inf where it leaves float range, which
+    the mu rule refuses); every ``default_zoo`` target has one.
     """
 
     dim: int
@@ -145,7 +146,18 @@ def _check_point(x, dim: int, name: str = "point") -> Array:
 
 
 def _finite_point(x, dim: int, name: str) -> Array:
-    """``_check_point`` plus finiteness; errors name the input ``name``."""
+    """``_check_point`` plus finiteness; errors name the input ``name``.
+
+    Entries must be real numbers: ``np.asarray(x, dtype=float)`` would read
+    True as 1 and "2" as 2.  An ndarray is checked by its dtype alone.
+    """
+    if isinstance(x, np.ndarray):
+        real = x.dtype.kind in "fiu"
+    else:
+        entries = np.asarray(x, dtype=object).flat
+        real = all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in entries)
+    if not real:
+        raise ValueError(f"{name} must hold real numbers, got {x!r}")
     x = _check_point(x, dim, name)
     if not np.isfinite(x).all():
         raise ValueError(f"{name} must be finite, got {x.tolist()}")
@@ -176,6 +188,27 @@ def _integer_at_least(x, name: str, floor: int):
     if x < floor:
         raise ValueError(f"{name} must be >= {floor}, got {x}")
     return x
+
+
+def _float_or_nan(formula: Callable[[], float]) -> float:
+    """``formula()``, or nan where extreme finite inputs make Python's float
+    ``**`` raise ``OverflowError`` or a division by an underflowed 0 raise
+    ``ZeroDivisionError``."""
+    try:
+        return formula()
+    except (OverflowError, ZeroDivisionError):
+        return math.nan
+
+
+def _in_float_range(formula: Callable[[], float], rule: str, strict: bool = True, **params) -> float:
+    """``_float_or_nan(formula)`` when it is finite and > 0 (>= 0 when not
+    ``strict``), else a ``ValueError`` naming the ``rule`` and its ``params``:
+    a result that raised or rounded to 0 or inf gets this one error."""
+    value = _float_or_nan(formula)
+    if not (0.0 < value if strict else 0.0 <= value) or not value < math.inf:
+        where = ", ".join(f"{k} = {v!r}" for k, v in params.items())
+        raise ValueError(f"{rule} leaves float range at {where}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -273,8 +306,8 @@ def make_l1(dim: int, scale: float = 1.0) -> Potential:
         # coordinates iid Laplace with rate `s`
         return rng.laplace(scale=1.0 / s, size=(n, dim))
 
-    # E||x||^4 for iid Laplace(1/s) coordinates
-    m4 = (24.0 * dim + 4.0 * dim * (dim - 1)) / s**4
+    # E||x||^4 for iid Laplace(1/s) coordinates (nan where out of float range)
+    m4 = _float_or_nan(lambda: (24.0 * dim + 4.0 * dim * (dim - 1)) / s**4)
     return Potential(
         dim=dim,
         value=value,
@@ -346,8 +379,8 @@ def make_power_norm(dim: int, alpha: float, c: float = 1.0) -> Potential:
 
     # E||x||^4: with k = alpha + 1, c ||x||^k / k is Gamma(d/k)-distributed
     k = a + 1.0
-    m4 = (k / cc) ** (4.0 / k) * math.exp(
-        math.lgamma((dim + 4.0) / k) - math.lgamma(dim / k)
+    m4 = _float_or_nan(
+        lambda: (k / cc) ** (4.0 / k) * math.exp(math.lgamma((dim + 4.0) / k) - math.lgamma(dim / k))
     )
     return Potential(
         dim=dim,
@@ -413,14 +446,22 @@ def _independent_fourth_moment(m2: Array, m4: Array) -> float:
 
 
 def _quad_l1_moments(q: float, s: float) -> tuple:
-    """(E x^2, E x^4) under the 1-D density prop. to exp(-q x^2/2 - s|x|)."""
+    """(E x^2, E x^4) under the 1-D density prop. to exp(-q x^2/2 - s|x|).
+
+    Integrated in u = r x with r = max(s, sqrt(q)), where the density is
+    exp(-(q/r^2) u^2/2 - (s/r) u) with one coefficient 1, so its mass z
+    cannot underflow; at r = 1 the integrals are those in x, bit for bit.
+    """
     from scipy.integrate import quad
 
+    r = max(s, math.sqrt(q))
+    qr, sr = q / r / r, s / r
+
     def integral(k):
-        return quad(lambda x: x**k * math.exp(-0.5 * q * x * x - s * x), 0.0, math.inf)[0]
+        return quad(lambda u: u**k * math.exp(-0.5 * qr * u * u - sr * u), 0.0, math.inf)[0]
 
     z = integral(0)
-    return integral(2) / z, integral(4) / z
+    return integral(2) / z / r / r, integral(4) / z / r / r / r / r
 
 
 def make_hinge_sum(dim: int, planes: Sequence[tuple]) -> Potential:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundle import BundleResult, ProxObjective, SamplerError, eta_mu_of, prox_bundle
-from .potentials import Array, SmoothnessProfile, _check_point, _finite_real, _pow_rows, _row_dots
+from .potentials import Array, SmoothnessProfile, _check_point, _finite_real, _in_float_range, _pow_rows, _row_dots
 
 # the bundle-mode lower envelope, recorded in manifest.json: a change to it
 # changes bundle-mode chains for the same seed
@@ -158,7 +158,10 @@ def prox_of_target(obj: ProxObjective) -> Array:
 def semismooth_step(alpha: float, l_alpha: float, dim: int) -> float:
     """The semi-smooth step-size guard (a+1)^(2/(a+1)) / ((2 l_alpha)^(2/(a+1)) d)."""
     a = alpha
-    return (a + 1.0) ** (2.0 / (a + 1.0)) / ((2.0 * l_alpha) ** (2.0 / (a + 1.0)) * dim)
+    return _in_float_range(
+        lambda: (a + 1.0) ** (2.0 / (a + 1.0)) / ((2.0 * l_alpha) ** (2.0 / (a + 1.0)) * dim),
+        "the semi-smooth step rule", alpha=alpha, l_alpha=l_alpha, d=dim,
+    )
 
 
 def step_guard(profile: SmoothnessProfile, dim: int) -> float:
@@ -168,7 +171,8 @@ def step_guard(profile: SmoothnessProfile, dim: int) -> float:
     if profile.l_alpha > 0:
         guard = semismooth_step(profile.alpha, profile.l_alpha, dim)
     if profile.l_one > 0:
-        guard = min(guard, 1.0 / (profile.l_one * dim))
+        l_one = profile.l_one
+        guard = min(guard, _in_float_range(lambda: 1.0 / (l_one * dim), "the smooth step rule", l_one=l_one, d=dim))
     return guard
 
 
@@ -207,6 +211,8 @@ def rgo_sample(
     finite) raises ``ValueError``.  The points this builds itself (center
     and proposals) are evaluated without shape checks.  ``MAX_REJECTIONS``
     caps the proposals; the step-size guard is checked by ``run_chain``.
+    An envelope above g_y^eta by more than 1e-9 max(1, |offset|), the
+    rounding of values of the offset's size, raises ``EnvelopeViolationError``.
     """
     if cfg.eta != obj.eta and not math.isclose(cfg.eta, obj.eta, rel_tol=1e-12):
         raise ValueError(f"config eta {cfg.eta} differs from objective eta {obj.eta}")
@@ -229,10 +235,11 @@ def rgo_sample(
     inv_two_eta_mu = obj.inv_two_eta_mu
     scale = obj.sqrt_eta_mu
     dim = obj.dim
+    tol = 1e-9 * max(1.0, abs(offset))
     for k in range(MAX_REJECTIONS):
         x = center + scale * rng.standard_normal(dim)
         log_ratio = lower_envelope(x, center, offset, inv_two_eta_mu) - value(x)
-        if log_ratio > 1e-9:
+        if log_ratio > tol:
             raise EnvelopeViolationError(
                 f"lower envelope exceeds target by {log_ratio:.3e} at a proposal; "
                 "prox/bundle output is inconsistent with the potential"

@@ -167,7 +167,7 @@ class TestModelSubproblem:
             x, val, qp_gap = solve(planes, obj, gap_tol=gap_tol)
             assert 0.0 <= qp_gap <= gap_tol
         # and through prox_bundle, whose own tolerance is min(delta/100, 1e-10)
-        res = prox_bundle(obj, delta=1e-6, record=True)
+        res = prox_bundle(obj, delta=1e-6)
         assert len(res.planes) >= 2
         assert 0.0 <= res.qp_gap <= 1e-10
 
@@ -552,7 +552,7 @@ class TestProxBundle:
         rng = np.random.default_rng(42)
         y = rng.standard_normal(5)
         obj = make_obj(pot, 0.0, np.zeros(5), eta, y)
-        res = prox_bundle(obj, delta=1.0 / 5.0, record=True)
+        res = prox_bundle(obj, delta=1.0 / 5.0)
         prof = pot.profile
         j0 = iteration_bound_semismooth(
             obj.eta_mu, prof.l_alpha, prof.alpha, 0.2, res.gaps[0]
@@ -576,6 +576,27 @@ class TestProxBundle:
         assert res.oracle_calls == res.iterations == 2
         assert len(queries) == 2
         assert res.gap > 1e-12
+
+    def test_result_holds_gap_history_and_cuts(self):
+        # every call keeps t_1..t_J and its J cuts, the first at y
+        pot = make_power_norm(3, 0.5, 1.0)
+        rng = np.random.default_rng(5)
+        for delta in (1e-1, 1e-3, 1e-6):
+            obj = make_obj(pot, 0.4, np.zeros(3), 0.5, 2.0 * rng.standard_normal(3))
+            res = prox_bundle(obj, delta)
+            assert len(res.gaps) == len(res.planes) == res.iterations == res.oracle_calls
+            assert res.gaps[-1] == res.gap <= delta
+            assert np.array_equal(res.planes[0].anchor, obj.y)
+
+    def test_max_iter_error_carries_gap_history(self):
+        # power_norm needs 18 iterations here
+        pot = make_power_norm(2, 0.5, 1.0)
+        obj = make_obj(pot, 0.0, np.zeros(2), 5.0, [3.0, -2.0])
+        with pytest.raises(BundleLimitError) as exc:
+            prox_bundle(obj, delta=1e-12, max_iter=5)
+        res = exc.value.result
+        assert len(res.gaps) == len(res.planes) == 5
+        assert res.gaps[-1] == res.gap > 1e-12
 
     def test_invalid_delta(self):
         pot = make_l1(1, 1.0)
@@ -623,7 +644,7 @@ class TestBundleInvariants:
             y = rng.standard_normal(dim) * 2.0
             eta = rng.uniform(0.05, 1.0)
             obj = make_obj(pot, mu, np.zeros(dim), eta, y)
-            res = prox_bundle(obj, delta=1e-3, max_iter=400, record=True)
+            res = prox_bundle(obj, delta=1e-3, max_iter=400)
             prof = pot.profile
             # the sampler's envelope offset is at least the paper's, and its
             # envelope around x_model stays below g_y^eta
@@ -643,8 +664,10 @@ class TestBundleInvariants:
                     if j > 1:
                         fp = reconstruct_model(res.planes, j - 1)
                         assert fj(u) >= fp(u) - 1e-12
-            # model subproblem minimizers satisfy the strong-convexity bound
-            for j, xj in enumerate(res.model_points, start=1):
+            # model subproblem minimizers satisfy the strong-convexity bound;
+            # plane j is cut at the model point x_j, and x_model is x_J
+            model_points = [p.anchor for p in res.planes[1:]] + [res.x_model]
+            for j, xj in enumerate(model_points, start=1):
                 fj = reconstruct_model(res.planes, j)
                 mj = fj(xj) + quad_part(obj, xj)
                 for _ in range(20):
@@ -655,8 +678,11 @@ class TestBundleInvariants:
             gaps = res.gaps
             for a, b in zip(gaps, gaps[1:]):
                 assert b <= a + 1e-12
-            for j in range(len(gaps)):
-                step = res.step_norms[j]
+            prev = res.planes[0].anchor
+            for j, xj in enumerate(model_points):
+                step = xj - prev
+                step = math.sqrt(step @ step)
+                prev = xj
                 rec = (
                     prof.l_alpha / (prof.alpha + 1.0) * step ** (prof.alpha + 1.0)
                     + 0.5 * prof.l_one * step**2
@@ -683,7 +709,7 @@ class TestBundleInvariants:
         rng = np.random.default_rng(23)
         for _ in range(100):
             obj = ProxObjective(target, eta, 2.0 * rng.standard_normal(dim))
-            res = prox_bundle(obj, delta, record=True)
+            res = prox_bundle(obj, delta)
             t1 = res.gaps[0]
             if prof.l_one > 0:
                 assert 2.0 * t1 > delta

@@ -268,9 +268,15 @@ class TestParams:
             ({"target": {"name": "power_norm", "dim": 2, "params": {"alpha": True}}},
              "alpha must be in [0, 1], got True (target in the config)"),
             ({"regime": {"eta": 10**400}}, "int too large to convert to float (regime.eta, "),
+            ({"target": {"name": "gaussian", "dim": 1, "params": {"diag_precision": [True]}}},
+             "diag_precision must hold real numbers, got [True] (target in the config)"),
+            ({"target": {"name": "gaussian", "dim": 1, "params": {"diag_precision": ["2"]}}},
+             "diag_precision must hold real numbers, got ['2'] (target in the config)"),
+            ({"target": {"name": "quad_plus_l1", "dim": 2, "params": {"q_diagonal": [1.0, False]}}},
+             "q_diagonal must hold real numbers, got [1.0, False] (target in the config)"),
         ],
         ids=["eta-bool", "eta-string", "delta-bool", "eps-bool", "mu-bool", "scale-bool", "alpha-bool",
-             "eta-huge-int"],
+             "eta-huge-int", "precision-bool", "precision-string", "q-diagonal-bool"],
     )
     def test_bool_string_or_huge_number_is_usage_error(self, capsys, tmp_path, config, message):
         # true and "0.1" are not JSON numbers: read as 1 and 0.1 they would
@@ -282,6 +288,43 @@ class TestParams:
         assert code == 2
         assert message in err
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "config, code, messages",
+        [
+            ({"target": {"name": "quad_plus_l1", "dim": 1, "params": {"scale": 172529}}}, 0, []),
+            ({"target": {"name": "quad_plus_l1", "dim": 1, "params": {"scale": 1e300}}}, 2,
+             ["semi-smooth step rule leaves float range", "l_alpha = 2e+300", "(target, regime.kind in the config)"]),
+            ({"regime": {"eps": 1e-320}}, 2,
+             ["KL-contraction budget", "eps = 1e-320", "(regime.mu, regime.eps in the config)"]),
+            ({"target": {"name": "l1", "dim": 1, "params": {"scale": 1e-200}}}, 2,
+             ["semi-smooth step rule leaves float range", "l_alpha = 2e-200", "(target, regime.kind in the config)"]),
+            ({"target": {"name": "l1", "dim": 1, "params": {"scale": 1e-200}}, "regime": {"mu": 0.5}}, 2,
+             ["semi-smooth step rule leaves float range", "l_alpha = 2e-200", "(target, regime.kind in the config)"]),
+            ({"target": {"name": "l1", "dim": 1, "params": {"scale": 1e80}}}, 2,
+             ["mu rule needs the fourth moment of l1", "set mu explicitly", "(regime.mu, regime.eps in the config)"]),
+            ({"target": {"name": "l1", "dim": 1, "params": {"scale": 1e200}}}, 2,
+             ["semi-smooth step rule leaves float range", "l_alpha = 2e+200", "(target, regime.kind in the config)"]),
+            ({"target": {"name": "power_norm", "dim": 1, "params": {"alpha": 0.5, "c": 1e300}}}, 2,
+             ["semi-smooth step rule leaves float range", "(target, regime.kind in the config)"]),
+            ({"target": {"name": "power_norm", "dim": 1, "params": {"alpha": 1.0, "c": 1e300}}}, 2,
+             ["mu rule needs the fourth moment of power_norm", "(regime.mu, regime.eps in the config)"]),
+        ],
+        ids=["quad_l1-scale-172529", "quad_l1-scale-1e300", "eps-1e-320", "l1-scale-1e-200", "l1-scale-1e-200-mu",
+             "l1-scale-1e80", "l1-scale-1e200", "power_norm-c-1e300", "power_norm-alpha-1-c-1e300"],
+    )
+    def test_rule_out_of_float_range_is_usage_error(self, capsys, tmp_path, config, code, messages):
+        # extreme but finite inputs under- or overflow a moment, step or
+        # budget rule: the error names the rule and its config keys, never a
+        # bare ZeroDivisionError or "(34, 'Numerical result out of range')"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        got, out, err = run_cli(["params", "--config", str(cfg)], capsys)
+        assert got == code
+        for message in messages:
+            assert message in err
+        assert "Numerical result" not in err
+        assert (out == "") == (code == 2)
 
     def test_unknown_regime_kind_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"
@@ -533,6 +576,34 @@ class TestSample:
         assert code == 2
         assert "x_init must be finite" in err and "chain.x_init" in err
         assert not out_dir.exists()
+
+    def test_x_init_of_bools_or_strings_is_usage_error(self, capsys, tmp_path):
+        cfg = self.make_config(tmp_path, n_chains=1)
+        data = json.loads(cfg.read_text())
+        data["target"]["dim"] = 2
+        data["chain"]["x_init"] = [True, "0.5"]
+        cfg.write_text(json.dumps(data))
+        out_dir = tmp_path / "o"
+        code, _, err = run_cli(["sample", "--config", str(cfg), "--out-dir", str(out_dir)], capsys)
+        assert code == 2
+        assert "x_init must hold real numbers, got [True, '0.5'] (chain.x_init in the config)" in err
+        assert not out_dir.exists()
+
+    def test_exact_mode_far_start_runs(self, capsys, tmp_path):
+        # g_y^eta is about 2e7 near y = 9e3: rounding of that size once broke
+        # an absolute 1e-9 envelope guard at step 4
+        cfg = tmp_path / "c.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "chain": {"n_chains": 2, "n_iters": 30, "x_init": [10000.0]},
+                    "regime": {"mu": 0.5, "rgo_mode": "exact"},
+                    "target": {"name": "l1", "dim": 1},
+                }
+            )
+        )
+        code, _, err = run_cli(["sample", "--config", str(cfg), "--out-dir", str(tmp_path / "o")], capsys)
+        assert code == 0, err
 
     @pytest.mark.parametrize(
         "key,value",

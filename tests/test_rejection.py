@@ -232,6 +232,16 @@ class TestRgoSample:
             for _ in range(200):
                 rgo_sample(obj, cfg, rng)
 
+    def test_envelope_guard_allows_rounding_at_large_g(self):
+        # g_y^eta is about 2e7 at the prox point of y = 7500: an absolute
+        # 1e-9 guard failed 7 of these 20 seeds on rounding alone
+        eta = 10**-1.5
+        obj = l1_objective(eta, 7500.0, mu=0.5)
+        cfg = RgoConfig(eta=eta, mode="exact")
+        for seed in range(20):
+            s = rgo_sample(obj, cfg, np.random.default_rng(seed))
+            assert s.log_accept_ratio <= 1e-9 * abs(s.envelope_offset)
+
     def test_envelope_violation_in_a_chain_names_step_seed_and_y(self):
         # a sampler failure like the caps: run_chain and gibbs_step add where
         # it happened, so ``proxsamp sample`` exits 3 with the same context
