@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .potentials import Array, RegularizedTarget, _check_point, _finite_point, _row_dots
-from .potentials import _finite_real, _integer_at_least
+from .potentials import Array, RegularizedTarget, _finite_point, _point_or_rows, _row_dots
+from .potentials import _finite_real, _integer_at_least, takes_rows, value_rows
 
 # pivots one model QP solve may take before ``DualSolverError``
 DUAL_MAX_ITER = 10_000
@@ -121,8 +121,13 @@ class ProxObjective:
     def eta_mu_l1(self) -> float:
         return eta_mu_of(self.eta, self.target.mu, self.target.base.profile.l_one)
 
+    @takes_rows
     def value(self, x: Array) -> float:
-        return self._value(_check_point(x, self.dim))
+        """g_y^eta(x), or g_y^eta at each row of an (n, dim) array."""
+        x = _point_or_rows(x, self.dim)
+        if x.ndim == 2:
+            return self._values(x, value_rows(self.f_value, x))
+        return self._value(x)
 
     def _value(self, x: Array) -> float:
         """``value`` at a shape-(dim,) float array, without the shape check.

@@ -20,8 +20,9 @@ from typing import Optional
 import numpy as np
 
 from .bundle import ProxObjective, SamplerError
-from .potentials import Array, Potential, RegularizedTarget, SmoothnessProfile
+from .potentials import Array, Potential, RegularizedTarget, SmoothnessProfile, takes_rows
 from .potentials import _check_point, _finite_point, _finite_real, _in_float_range, _integer_at_least
+from .potentials import _pow_rows
 from .quadrature import QuadratureDensity
 from .rejection import (
     RgoConfig,
@@ -141,7 +142,14 @@ def moment_estimate(potential: Potential) -> MomentEstimate:
             idx = np.unravel_index(np.argmin(truth.logpot), truth.logpot.shape)
             x_min = np.array([ax[i] for ax, i in zip(truth.axes, idx)])
         xm = x_min
-        m4 = truth.moment(lambda x: float(np.sum((x - xm) ** 2)) ** 2)
+
+        # rows are squared with Python's pow, as the point form is
+        @takes_rows
+        def dist4(x):
+            sq = np.sum((x - xm) ** 2, axis=-1)
+            return _pow_rows(sq, 2) if x.ndim == 2 else float(sq) ** 2
+
+        m4 = truth.moment(dist4)
         source = "quadrature"
     else:
         raise ValueError(
@@ -166,25 +174,37 @@ def select_params_semismooth(profile: SmoothnessProfile, d: int) -> tuple:
     exponent vanishes and delta = 1 is used (the bundle cost term it feeds
     is 1 regardless, and the 2 exp(delta) proposal bound stays O(1)).
     """
-    if profile.l_alpha <= 0:
-        raise ValueError("semi-smooth rule needs l_alpha > 0")
-    _integer_at_least(d, "d", 1)
-    return semismooth_step(profile.alpha, profile.l_alpha, d), _gap_tolerance(profile.alpha, d)
-
-
-def _gap_tolerance(alpha: float, d: int) -> float:
-    if alpha >= 1.0:
-        return 1.0
-    return float(d) ** (-(alpha + 1.0) / (1.0 - alpha))
+    return _step_size("semi-smooth", profile, d), _gap_tolerance(profile.alpha, d)
 
 
 def select_params_composite(profile: SmoothnessProfile, d: int) -> tuple:
     """(eta, delta) with the step size capped by both regime guards."""
+    return _step_size("composite", profile, d), _gap_tolerance(profile.alpha, d)
+
+
+def _step_size(kind: str, profile: SmoothnessProfile, d: int) -> float:
+    """eta of the semi-smooth rule, else of the composite rule (which the
+    strongly-convex regime shares)."""
     _integer_at_least(d, "d", 1)
+    if kind == "semi-smooth":
+        if profile.l_alpha <= 0:
+            raise ValueError("semi-smooth rule needs l_alpha > 0")
+        return semismooth_step(profile.alpha, profile.l_alpha, d)
     eta = step_guard(profile, d)
     if math.isinf(eta):
         raise ValueError("composite rule needs l_alpha > 0 or l_one > 0")
-    return eta, _gap_tolerance(profile.alpha, d)
+    return eta
+
+
+def _gap_tolerance(alpha: float, d: int) -> float:
+    """delta with delta^((1-alpha)/(alpha+1)) = 1/d (1 at alpha = 1); a
+    ``ValueError`` naming the rule where it underflows to 0."""
+    if alpha >= 1.0:
+        return 1.0
+    return _in_float_range(
+        lambda: float(d) ** (-(alpha + 1.0) / (1.0 - alpha)),
+        "the gap rule delta = d^(-(alpha+1)/(1-alpha))", alpha=alpha, d=d,
+    )
 
 
 def select_mu(eps: float, moments: MomentEstimate) -> float:

@@ -143,11 +143,11 @@ def sandwich_suite(
     prox point.  The upper envelope always needs the true prox point, taken
     from the closed form when available, else from a high-accuracy bundle
     run.  All probes come from one ``rng.standard_normal((probes, dim))``
-    draw and are evaluated as one block of rows: f through the potential's
-    ``values`` (a row loop over ``value`` without it), then g_y^eta and both
-    envelopes on the rows.  The first probe's ``values`` entry must equal
-    ``value`` there bit for bit, else ``ValueError`` (a ``values`` left
-    stale by replacing ``value``).
+    draw and are evaluated as one block of rows: f through
+    ``potentials.value_rows`` (one call when the potential's ``value`` takes
+    rows, else a row loop), then g_y^eta and both envelopes on the rows.
+    For a row-capable ``value``, its row branch must give the point
+    branch's bits at the first probe, else ``ValueError``.
     """
     if obj.target.base.prox is not None:
         xstar = prox_of_target(obj)
@@ -165,13 +165,13 @@ def sandwich_suite(
     scale = 5.0 * math.sqrt(obj.eta)
     xs = center + scale * rng.standard_normal((probes, obj.dim))
     base = obj.target.base
-    f = value_rows(base, xs)
-    if base.values is not None and probes:
+    f = value_rows(base.value, xs)
+    if getattr(base.value, "takes_rows", False) and probes:
         first = float(base.value(xs[0]))
         if float(f[0]).hex() != first.hex():
             raise ValueError(
-                f"potential {base.name!r}: values gives {float(f[0])!r} where value "
-                f"gives {first!r} at {xs[0].tolist()}; replace values along with value"
+                f"potential {base.name!r}: value gives {float(f[0])!r} on rows where it "
+                f"gives {first!r} at the point {xs[0].tolist()}"
             )
     g = obj._values(xs, f)
     lower = g - lower_envelope(xs, center, offset, obj.inv_two_eta_mu)

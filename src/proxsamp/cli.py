@@ -28,12 +28,12 @@ from .chain import (
     CSV_COLUMNS_VERSION,
     ChainConfig,
     _check_exact_mode,
+    _gap_tolerance,
+    _step_size,
     moment_estimate,
     run_chain,
     select_mu,
     select_num_iters,
-    select_params_composite,
-    select_params_semismooth,
 )
 from .potentials import _finite_point, _finite_real, _integer_at_least, make_by_name
 from .rejection import ENVELOPE_VERSION, RgoConfig, rejection_bound
@@ -127,15 +127,15 @@ def resolve_parameters(cfg: dict) -> dict:
     if kind not in ("semi-smooth", "composite", "strongly-convex"):
         raise UsageError(f"unknown regime kind {kind!r} (regime.kind in the config)")
     with _config_keys("target, regime.kind"):
-        if kind == "semi-smooth":
-            eta, delta = select_params_semismooth(profile, dim)
-        else:
-            eta, delta = select_params_composite(profile, dim)
+        eta = _step_size(kind, profile, dim)
         if kind == "strongly-convex" and profile.lambda_strong <= 0:
             raise ValueError(f"{pot.name} declares no strong convexity (lambda_strong = 0)")
     for key in ("eta", "delta", "eps", "mu"):  # JSON numbers only: not true, not "0.1"
         if rsec.get(key) is not None and type(rsec[key]) not in (int, float):
             raise UsageError(f"{key} must be a number, got {rsec[key]!r} (regime.{key} in the config)")
+    if rsec.get("delta") is None:
+        with _config_keys("target, regime.delta"):
+            delta = _gap_tolerance(profile.alpha, dim)
     with _config_keys("regime.eta, regime.delta, regime.rgo_mode"):
         if rsec.get("eta") is not None:
             eta = float(rsec["eta"])

@@ -18,6 +18,15 @@ import numpy as np
 Array = np.ndarray
 
 
+def takes_rows(fn: Callable) -> Callable:
+    """Mark ``fn`` as a row-capable value oracle: given a shape-(d,) point
+    it returns a float, and given an (n, d) stack the n values, each equal
+    to the point value bit for bit.  A bound method reads its function's
+    mark."""
+    fn.takes_rows = True
+    return fn
+
+
 @dataclass(frozen=True)
 class SmoothnessProfile:
     """Subgradient regularity: ||f'(u)-f'(v)|| <= l_alpha*||u-v||^alpha + l_one*||u-v||.
@@ -49,13 +58,12 @@ class Potential:
     """Convex potential on R^d with oracles and optional closed forms.
 
     ``value`` and ``subgrad`` accept a shape-(dim,) array; ``subgrad`` may
-    return any subdifferential element.  ``values``, when present, takes an
-    (n, dim) float array and returns the n values of ``value`` on its rows,
-    each equal to ``value`` on that row bit for bit; every zoo family
-    provides it, and ``value_rows`` falls back to a row loop over ``value``
-    without it.  ``dataclasses.replace`` keeps ``values``, so replacing
-    ``value`` means replacing ``values`` too (or setting it to None): the
-    A6 sandwich refuses a ``values`` that disagrees with ``value``.
+    return any subdifferential element.  A ``value`` marked by
+    ``takes_rows`` (every zoo family's is) also takes an (n, dim) float
+    array and returns its n row values, each equal to ``value`` on that row
+    bit for bit; ``value_rows`` loops over an unmarked ``value``.  The mark
+    lives on the function, so ``dataclasses.replace(pot, value=fn)`` keeps
+    the row form exactly when ``fn`` carries it.
     ``prox``, when present, maps
     (eta, y) to argmin f + ||.-y||^2/(2 eta).  ``sample_exact`` draws n iid
     points from exp(-f) (the l1 and Gaussian families provide it).
@@ -68,7 +76,6 @@ class Potential:
     value: Callable[[Array], float]
     subgrad: Callable[[Array], Array]
     profile: SmoothnessProfile
-    values: Optional[Callable[[Array], Array]] = None
     prox: Optional[Callable[[float, Array], Array]] = None
     x_min: Optional[Array] = None
     sample_exact: Optional[Callable[[np.random.Generator, int], Array]] = None
@@ -92,17 +99,20 @@ class RegularizedTarget:
         center = _finite_point(self.center, self.base.dim, "center")
         object.__setattr__(self, "center", center)
 
+    @takes_rows
     def value(self, x: Array) -> float:
-        """g(x).  Where mu/2 is 0 (mu = 0, or mu the smallest subnormal) the
-        regularizer is skipped, not multiplied by 0, so a finite f(x) stays
-        finite where ||x - center||^2 overflows."""
-        x = _check_point(x, self.base.dim)
-        f_x = float(self.base.value(x))
+        """g(x), or g at each row of an (n, dim) array.  Where mu/2 is 0
+        (mu = 0, or mu the smallest subnormal) the regularizer is skipped,
+        not multiplied by 0, so a finite f(x) stays finite where
+        ||x - center||^2 overflows."""
+        x = _point_or_rows(x, self.base.dim)
+        rows = x.ndim == 2
+        f_x = value_rows(self.base.value, x) if rows else float(self.base.value(x))
         half_mu = 0.5 * self.mu
         if half_mu == 0.0:
             return f_x + 0.0
         dx = x - self.center
-        return f_x + half_mu * float(dx @ dx)
+        return f_x + half_mu * (_row_dots(dx, dx) if rows else float(dx @ dx))
 
     def subgrad(self, x: Array) -> Array:
         """f'(x) + mu (x - center); the regularizer is skipped where mu/2
@@ -114,12 +124,12 @@ class RegularizedTarget:
         return g + self.mu * (x - self.center)
 
 
-def value_rows(pot: Potential, xs: Array) -> Array:
-    """f at each row of an (n, dim) float array: ``pot.values`` when given,
-    else a row loop over ``pot.value``."""
-    if pot.values is not None:
-        return pot.values(xs)
-    return np.array([float(pot.value(x)) for x in xs])
+def value_rows(fn: Callable[[Array], float], xs: Array) -> Array:
+    """fn at each row of an (n, d) float array: one call when ``fn`` is
+    marked by ``takes_rows``, else one call per row."""
+    if getattr(fn, "takes_rows", False):
+        return fn(xs)
+    return np.array([float(fn(x)) for x in xs])
 
 
 def _row_dots(u: Array, v: Array) -> Array:
@@ -136,6 +146,14 @@ def _pow_rows(r: Array, k: float) -> Array:
     """r_i ** k with Python's pow on each entry: ``np.power`` rounds some
     results differently, and the scalar oracles use Python's pow."""
     return np.array([ri**k for ri in r.tolist()], dtype=float)
+
+
+def _point_or_rows(x, dim: int) -> Array:
+    """x as a float array of shape (dim,) or (n, dim), else ``ValueError``."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.ndim > 2 or x.shape[-1] != dim:
+        raise ValueError(f"point has shape {x.shape}, expected ({dim},) or (n, {dim})")
+    return x
 
 
 def _check_point(x, dim: int, name: str = "point") -> Array:
@@ -289,11 +307,12 @@ def make_l1(dim: int, scale: float = 1.0) -> Potential:
     """
     s = float(_finite_real(scale, "scale"))
 
+    @takes_rows
     def value(x):
-        return s * float(np.abs(x).sum())
-
-    def values(xs):
-        return s * np.abs(xs).sum(axis=1)
+        ax = np.abs(x)
+        if ax.ndim == 2:
+            return s * ax.sum(axis=1)
+        return s * float(ax.sum())
 
     def subgrad(x):
         return s * np.sign(x)
@@ -311,7 +330,6 @@ def make_l1(dim: int, scale: float = 1.0) -> Potential:
     return Potential(
         dim=dim,
         value=value,
-        values=values,
         subgrad=subgrad,
         profile=SmoothnessProfile(alpha=0.0, l_alpha=2.0 * s * math.sqrt(dim)),
         prox=prox,
@@ -334,12 +352,12 @@ def make_power_norm(dim: int, alpha: float, c: float = 1.0) -> Potential:
     cc = float(_finite_real(c, "c"))
 
     # math.sqrt(x @ x) is np.linalg.norm(x) to the bit, at less call overhead
+    @takes_rows
     def value(x):
         x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            return cc / (a + 1.0) * _pow_rows(np.sqrt(_row_dots(x, x)), a + 1.0)
         return cc / (a + 1.0) * math.sqrt(x @ x) ** (a + 1.0)
-
-    def values(xs):
-        return cc / (a + 1.0) * _pow_rows(np.sqrt(_row_dots(xs, xs)), a + 1.0)
 
     def subgrad(x):
         x = np.asarray(x, dtype=float)
@@ -385,7 +403,6 @@ def make_power_norm(dim: int, alpha: float, c: float = 1.0) -> Potential:
     return Potential(
         dim=dim,
         value=value,
-        values=values,
         subgrad=subgrad,
         profile=SmoothnessProfile(alpha=a, l_alpha=cc * 2.0 ** (1.0 - a)),
         prox=prox,
@@ -403,12 +420,12 @@ def make_quad_plus_l1(
     _finite_real(float(q.min()), "q_diagonal", strict=False)
     s = float(_finite_real(scale, "scale"))
 
+    @takes_rows
     def value(x):
         x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            return 0.5 * _row_dots(x * x, q) + s * np.abs(x).sum(axis=1)
         return 0.5 * float(q @ (x * x)) + s * float(np.abs(x).sum())
-
-    def values(xs):
-        return 0.5 * _row_dots(xs * xs, q) + s * np.abs(xs).sum(axis=1)
 
     def subgrad(x):
         x = np.asarray(x, dtype=float)
@@ -425,7 +442,6 @@ def make_quad_plus_l1(
     return Potential(
         dim=dim,
         value=value,
-        values=values,
         subgrad=subgrad,
         profile=SmoothnessProfile(
             alpha=0.0,
@@ -473,11 +489,12 @@ def make_hinge_sum(dim: int, planes: Sequence[tuple]) -> Potential:
     if A.shape[1] != dim:
         raise ValueError(f"plane normals have dim {A.shape[1]}, expected {dim}")
 
+    @takes_rows
     def value(x):
-        return float(np.maximum(A @ np.asarray(x, dtype=float) + b, 0.0).sum())
-
-    def values(xs):
-        return np.maximum(np.matmul(A, xs[:, :, None])[:, :, 0] + b, 0.0).sum(axis=1)
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            return np.maximum(np.matmul(A, x[:, :, None])[:, :, 0] + b, 0.0).sum(axis=1)
+        return float(np.maximum(A @ x + b, 0.0).sum())
 
     def subgrad(x):
         active = (A @ np.asarray(x, dtype=float) + b) > 0.0
@@ -487,7 +504,6 @@ def make_hinge_sum(dim: int, planes: Sequence[tuple]) -> Potential:
     return Potential(
         dim=dim,
         value=value,
-        values=values,
         subgrad=subgrad,
         profile=SmoothnessProfile(
             alpha=0.0, l_alpha=float(np.sum(np.linalg.norm(A, axis=1)))
@@ -502,12 +518,12 @@ def make_gaussian(dim: int, diag_precision: Sequence[float]) -> Potential:
     p = _finite_point(diag_precision, dim, "diag_precision")
     _finite_real(float(p.min()), "diag_precision")
 
+    @takes_rows
     def value(x):
         x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            return 0.5 * _row_dots(x * x, p)
         return 0.5 * float(p @ (x * x))
-
-    def values(xs):
-        return 0.5 * _row_dots(xs * xs, p)
 
     def subgrad(x):
         return p * np.asarray(x, dtype=float)
@@ -518,12 +534,13 @@ def make_gaussian(dim: int, diag_precision: Sequence[float]) -> Potential:
     def sample(rng, n):
         return rng.standard_normal((n, dim)) / np.sqrt(p)
 
-    var = 1.0 / p
-    m4 = float(2.0 * np.sum(var**2) + np.sum(var) ** 2)
+    # inf where the variances leave float range, which the mu rule refuses
+    with np.errstate(over="ignore"):
+        var = 1.0 / p
+        m4 = float(2.0 * np.sum(var**2) + np.sum(var) ** 2)
     return Potential(
         dim=dim,
         value=value,
-        values=values,
         subgrad=subgrad,
         profile=SmoothnessProfile(
             alpha=1.0,

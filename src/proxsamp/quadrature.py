@@ -3,8 +3,12 @@
 One tensor-product lattice serves d = 1 and d = 2: each axis is bracketed
 on the slice through ``center`` until f clears its minimum by the tail
 threshold, every lattice point is tabulated once, and one composite Simpson
-rule integrates normalizers, moments and KL terms.  A lattice whose
-boundary cells hold more than ``TRUNCATION_BUDGET`` of the mass is refused.
+rule integrates normalizers, moments and KL terms.  The lattice is
+tabulated in one call when the function is a row-capable oracle
+(``potentials.takes_rows``: every zoo ``value``, ``RegularizedTarget.value``
+and ``ProxObjective.value``), else one call per point, with the same
+bits.  A lattice whose boundary cells hold more than ``TRUNCATION_BUDGET``
+of the mass is refused.
 The only adaptive piece is the radial integral used by the modified-Gaussian
 bound, delegated to scipy's quad.  scipy is imported inside that integral,
 so building and querying a lattice loads numpy only.
@@ -18,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .potentials import _finite_real, _integer_at_least
+from .potentials import _finite_real, _integer_at_least, value_rows
 
 Array = np.ndarray
 
@@ -76,10 +80,11 @@ def _snapped_grid(lo: float, hi: float, anchor: float, n_points: int) -> Array:
 
 def _tabulate(fn: Callable[[Array], float], axes: tuple) -> Array:
     """fn at every lattice point, in the lattice's shape.  The points are
-    rows of one (N, d) array, each passed to fn as a shape-(d,) view."""
+    the rows of one (N, d) array: a ``takes_rows`` oracle gets them in one
+    call, any other fn one shape-(d,) view at a time."""
     grids = np.meshgrid(*axes, indexing="ij")
     points = np.stack(grids, axis=-1).reshape(-1, len(axes))
-    return np.array([fn(p) for p in points]).reshape(grids[0].shape)
+    return value_rows(fn, points).reshape(grids[0].shape)
 
 
 def _simpson(axes: tuple, *factors: Array) -> float:
@@ -102,7 +107,7 @@ class QuadratureDensity:
     coordinate; ``log_z`` is the log normalizer of exp(-f).
     ``truncation_error`` is the share of the mass in the boundary cells,
     which ``build`` keeps within ``TRUNCATION_BUDGET``.  In 1D ``cdf`` backs
-    KS tests, histogram bins and inverse-CDF draws.
+    KS tests and histogram bins.
     """
 
     dim: int
@@ -178,15 +183,6 @@ class QuadratureDensity:
         if self.dim != 1:
             raise ValueError("cdf_at is 1D only")
         return np.interp(np.asarray(x, dtype=float), self.axes[0], self.cdf)
-
-    def quantile(self, u) -> Array:
-        if self.dim != 1:
-            raise ValueError("quantile is 1D only")
-        return np.interp(np.asarray(u, dtype=float), self.cdf, self.axes[0])
-
-    def sample(self, rng: np.random.Generator, n: int) -> Array:
-        """Inverse-CDF draws (1D), used to calibrate estimator noise."""
-        return self.quantile(rng.random(n))
 
     def moment(self, fn: Callable[[Array], float]) -> float:
         """E[fn(x)] under the normalized density (Simpson)."""

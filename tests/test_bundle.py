@@ -396,7 +396,7 @@ class TestUncheckedPaths:
         rng = np.random.default_rng(27)
         points = [rng.standard_normal(dim) * 2.0 for _ in range(4)]
         xs = rng.standard_normal((5, dim)) * 3.0
-        f_xs = value_rows(pot, xs)
+        f_xs = value_rows(pot.value, xs)
         obj = ProxObjective(target, eta, points[0])
         assert not {"_sq", "_quad_center", "g_value"} & set(ProxObjective.__slots__)
         constants = {k: getattr(obj, k) for k in ProxObjective.__slots__ if k != "y"}
@@ -478,7 +478,7 @@ class TestUncheckedPaths:
         xs = np.array([[1e200, 0.0], [1e200, 0.5], [1e200, -2.0]])
         with np.errstate(all="raise"):
             points = [obj._value(x) for x in xs]
-            rows = obj._values(xs, obj.target.base.values(xs))
+            rows = obj._values(xs, obj.target.base.value(xs))
         assert points == [1e200] * 3
         assert rows.tolist() == points
 
@@ -492,7 +492,7 @@ class TestUncheckedPaths:
         with np.errstate(all="raise"):
             assert [target.value(x) for x in xs] == [1e200, 1e200]
             points = [obj._value(x) for x in xs]
-            rows = obj._values(xs, target.base.values(xs))
+            rows = obj._values(xs, target.base.value(xs))
             res = prox_bundle(obj, 1e-3)
         assert points == [1e200, 1e200]
         assert rows.tolist() == points

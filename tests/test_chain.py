@@ -117,6 +117,28 @@ class TestSelectMu:
         # E||x||^4 for two iid Laplace(1) coords: 2*24 + 2*(2*2) = 56
         assert est.m4 == pytest.approx(56.0, rel=1e-3)
 
+    @pytest.mark.parametrize("case", ["l1-1", "l1-2", "hinge-2"])
+    def test_quadrature_fallback_integrand_takes_rows(self, case, monkeypatch):
+        # the M4 integrand is tabulated on the lattice rows in one call; on
+        # rows it gives the bits of the scalar (||x - x_min||^2)^2 per point
+        name, dim = case.split("-")
+        dim = int(dim)
+        if name == "l1":
+            pot = dataclasses.replace(make_l1(dim, 1.0), fourth_moment=None)
+        else:
+            pot = make_hinge_sum(2, [(s * e, -0.5) for e in np.eye(2) for s in (1.0, -1.0)])
+        integrands = []
+        moment = QuadratureDensity.moment
+        monkeypatch.setattr(QuadratureDensity, "moment", lambda q, fn: integrands.append(fn) or moment(q, fn))
+        est = moment_estimate(pot)
+        assert est.source == "quadrature"
+        (fn,) = integrands
+        assert fn.takes_rows
+        xm = np.asarray(est.x_min)
+        xs = np.concatenate([np.zeros((1, dim)), np.random.default_rng(5).standard_normal((200, dim)) * 7.0])
+        points = [float(np.sum((x - xm) ** 2)) ** 2 for x in xs]
+        assert fn(xs).tolist() == points == [fn(x) for x in xs]
+
     def test_moment_estimate_above_d2_without_m4_asks_for_mu(self):
         pot = dataclasses.replace(make_l1(3, 1.0), fourth_moment=None)
         with pytest.raises(ValueError, match="set mu explicitly"):

@@ -186,6 +186,24 @@ class TestParams:
         assert code == 0
         assert "hinge_sum (d=5)" in out and "rejection_bound" in out
 
+    def test_gap_rule_underflow_names_the_rule(self, capsys, tmp_path):
+        # at alpha = 0.999, d = 20 the gap rule d^(-(alpha+1)/(1-alpha))
+        # underflows to 0: a usage error naming the rule, unless regime.delta
+        # is set, when the rule does not run
+        cfg = tmp_path / "c.json"
+        config = {"target": {"name": "power_norm", "dim": 20, "params": {"alpha": 0.999}},
+                  "regime": {"mu": 0.1}}
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(["params", "--config", str(cfg)], capsys)
+        assert code == 2 and out == ""
+        assert "gap rule delta = d^(-(alpha+1)/(1-alpha))" in err and "regime.delta" in err
+        assert "alpha = 0.999, d = 20" in err
+        config["regime"]["delta"] = 0.1
+        cfg.write_text(json.dumps(config))
+        code, out, _ = run_cli(["params", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert "delta" in out and "0.1" in out
+
     def test_off_axis_hinge_needs_mu(self, capsys, tmp_path):
         # the slow direction (1, -1) lies off the coordinate axes, so the
         # quadrature lattice bracketed on them misses mass (true M4 1,056,136

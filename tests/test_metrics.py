@@ -20,6 +20,11 @@ def gauss_truth():
     return QuadratureDensity.build(make_gaussian(1, (1.0,)).value, 1)
 
 
+def draw(pot, rng, n):
+    """n exact draws from a 1-D zoo potential's exp(-f)."""
+    return pot.sample_exact(rng, n)[:, 0]
+
+
 class TestTvHist:
     def test_identical_histograms_zero(self, gauss_truth):
         # samples exactly matching the bin masses: TV from discretization only
@@ -36,13 +41,13 @@ class TestTvHist:
 
     def test_self_draw_small(self, gauss_truth):
         rng = np.random.default_rng(0)
-        samples = gauss_truth.sample(rng, 100_000)
+        samples = draw(make_gaussian(1, (1.0,)), rng, 100_000)
         assert tv_hist(samples, gauss_truth, bins=100) <= 0.03
 
     def test_decreases_with_n(self, laplace_truth):
         rng = np.random.default_rng(1)
         tvs = [
-            tv_hist(laplace_truth.sample(rng, n), laplace_truth, bins=30)
+            tv_hist(draw(make_l1(1, 1.0), rng, n), laplace_truth, bins=30)
             for n in (1000, 10_000, 100_000)
         ]
         assert tvs[2] < tvs[0]
@@ -59,12 +64,12 @@ class TestTvHist:
 class TestKs:
     def test_one_sample_null_calibrated(self, gauss_truth):
         rng = np.random.default_rng(4)
-        s = gauss_truth.sample(rng, 50_000)
+        s = draw(make_gaussian(1, (1.0,)), rng, 50_000)
         assert ks_1samp(s, gauss_truth.cdf_at) < ks_critical(0.01, 50_000)
 
     def test_one_sample_detects_shift(self, gauss_truth):
         rng = np.random.default_rng(5)
-        s = gauss_truth.sample(rng, 50_000) + 0.05
+        s = draw(make_gaussian(1, (1.0,)), rng, 50_000) + 0.05
         assert ks_1samp(s, gauss_truth.cdf_at) > ks_critical(0.01, 50_000)
 
     def test_cdf_variant_matches_uniform(self):

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +31,8 @@ from proxsamp.potentials import (
     make_by_name,
     positively_spans,
     sample_in_ball,
+    takes_rows,
+    value_rows,
 )
 
 
@@ -377,7 +381,72 @@ class TestRowValues:
         if name == "power_norm":
             pots += [make_power_norm(dim, 0.0, 2.0), make_power_norm(dim, 1.0)]
         for pot in pots:
-            got = pot.values(xs)
+            got = pot.value(xs)
             assert got.shape == (len(xs),)
             # ==, not approx: A6 evaluates rows and must see the scalar oracle's numbers
             assert got.tolist() == [float(pot.value(x)) for x in xs]
+
+    @pytest.mark.parametrize("name", ["l1", "power_norm", "quad_plus_l1", "hinge_sum", "gaussian"])
+    @pytest.mark.parametrize("mu", [0.0, 0.4])
+    def test_regularized_and_objective_rows_equal_points(self, name, mu):
+        dim = 3
+        xs = probe_rows(dim)
+        target = RegularizedTarget(default_zoo(dim)[name], mu, np.linspace(-0.5, 0.5, dim))
+        obj = ProxObjective(target, 0.3, np.array([1.0, -2.0, 0.5]))
+        for value in (target.value, obj.value):
+            assert value.takes_rows
+            got = value(xs)
+            assert got.shape == (len(xs),)
+            assert got.tolist() == [value(x) for x in xs]
+
+    @pytest.mark.parametrize("mu", [0.0, 0.4])
+    def test_regularized_rows_where_the_regularizer_overflows(self, mu):
+        # ||x - center||^2 overflows: skipped at mu = 0 (finite values), inf
+        # at mu = 0.4, on points and rows alike
+        target = RegularizedTarget(make_l1(2, 1.0), mu, np.array([1e200, 0.0]))
+        xs = np.array([[0.0, 0.0], [1.0, -2.0], [1e200, 0.5]])
+        with np.errstate(over="ignore"):
+            points = [target.value(x) for x in xs]
+            rows = target.value(xs)
+        assert rows.tolist() == points
+        assert points == ([0.0, 3.0, 1e200] if mu == 0.0 else [math.inf, math.inf, 1e200])
+
+    def test_replacing_value_drops_the_row_form(self):
+        l1 = make_l1(2, 1.0)
+        calls = []
+
+        def plain(x):
+            calls.append(x.shape)
+            return l1.value(x)
+
+        pot = replace(l1, value=plain)
+        assert l1.value.takes_rows and not hasattr(pot.value, "takes_rows")
+        xs = probe_rows(2)[:5]
+        assert value_rows(pot.value, xs).tolist() == l1.value(xs).tolist()
+        assert calls == [(2,)] * 5
+        marked = replace(l1, value=takes_rows(plain))
+        calls.clear()
+        assert value_rows(marked.value, xs).tolist() == l1.value(xs).tolist()
+        assert calls == [(5, 2)]
+
+    def test_point_or_rows_shape_is_checked(self):
+        target = RegularizedTarget(make_l1(2, 1.0), 0.1, np.zeros(2))
+        obj = ProxObjective(target, 0.3, np.zeros(2))
+        for value in (target.value, obj.value):
+            for bad in (np.zeros(3), np.zeros((4, 3)), np.zeros((2, 2, 2))):
+                with pytest.raises(ValueError, match="expected \\(2,\\) or \\(n, 2\\)"):
+                    value(bad)
+
+
+class TestGaussianTinyPrecision:
+    def test_fourth_moment_overflows_without_warnings(self):
+        # variances of 1e200 overflow the fourth moment to inf: no numpy
+        # warning while building, and the mu rule refuses the value
+        from proxsamp.chain import moment_estimate
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pot = make_gaussian(1, [1e-200])
+        assert pot.fourth_moment == math.inf
+        with pytest.raises(ValueError, match="leaves float range"):
+            moment_estimate(pot)

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from proxsamp import (
+    ProxObjective,
     QuadratureDensity,
     RegularizedTarget,
+    default_zoo,
     kl_divergence,
     make_gaussian,
     make_hinge_sum,
@@ -15,6 +17,7 @@ from proxsamp import (
     make_quad_plus_l1,
     modified_gaussian_ratio,
 )
+from proxsamp.potentials import takes_rows
 
 
 class TestDensityBuild:
@@ -64,11 +67,6 @@ class TestDensityBuild:
         assert q.cdf[-1] == pytest.approx(1.0)
         assert np.all(np.diff(q.cdf) >= 0)
         assert q.cdf_at(0.0) == pytest.approx(0.5, abs=1e-9)
-
-    def test_quantile_inverts_cdf(self):
-        q = QuadratureDensity.build(make_gaussian(1, (1.0,)).value, 1)
-        for u in (0.05, 0.3, 0.5, 0.9):
-            assert q.cdf_at(q.quantile(u)) == pytest.approx(u, abs=1e-9)
 
     def test_moments_laplace(self):
         q = QuadratureDensity.build(make_l1(1, 1.0).value, 1)
@@ -145,6 +143,38 @@ class TestPinnedTruthBits:
         q = self.truth(name)
         got = {field: _sha256(getattr(q, field)) for field in self.PINS[name]}
         assert got == self.PINS[name]
+
+
+class TestRowOracles:
+    """A ``takes_rows`` oracle tabulates a lattice in one call; a plain
+    wrapper of it, one call per point.  Both give the same bits."""
+
+    @staticmethod
+    def oracles(name, dim):
+        pot = default_zoo(dim)[name]
+        target = RegularizedTarget(pot, 0.4, np.full(dim, 0.25))
+        obj = ProxObjective(target, 0.5, np.full(dim, 0.5))
+        return [pot.value, target.value, obj.value]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("name", ["l1", "power_norm", "quad_plus_l1", "hinge_sum", "gaussian"])
+    def test_marked_and_looped_give_the_same_bits(self, name, dim):
+        n = None if dim == 1 else 81
+        for f in self.oracles(name, dim):
+            marked = QuadratureDensity.build(f, dim, n_points=n)
+            looped = QuadratureDensity.build(lambda x: f(x), dim, n_points=n)
+            for field in ("logpot", "density", "cdf"):
+                assert _sha256(getattr(marked, field)) == _sha256(getattr(looped, field)), field
+            assert marked.log_z.hex() == looped.log_z.hex()
+
+            @takes_rows
+            def logpdf(x):
+                return -f(x) - marked.log_z
+
+            assert marked.moment(f).hex() == marked.moment(lambda x: f(x)).hex()
+            kl = kl_divergence(logpdf, marked)
+            assert kl.hex() == kl_divergence(lambda x: logpdf(x), marked).hex()
+            assert abs(kl) < 1e-9
 
 
 class TestModifiedGaussianIntegral:
