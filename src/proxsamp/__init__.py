@@ -13,6 +13,7 @@ from .bundle import (
     BundleResult,
     CuttingPlane,
     DualSolverError,
+    NonFiniteObjectiveError,
     ProxObjective,
     SamplerError,
     gap_start_bound,

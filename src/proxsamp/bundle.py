@@ -39,6 +39,11 @@ class SamplerError(RuntimeError):
         return f"{super().__str__()} ({where})" if where else super().__str__()
 
 
+class NonFiniteObjectiveError(SamplerError, ValueError):
+    """g_y^eta is not finite at y (bundle mode) or at the prox point (exact
+    mode): y is not finite, or f overflows there.  Also a ``ValueError``."""
+
+
 class DualSolverError(SamplerError):
     """Model QP reached its pivot cap above the gap tolerance.
 
@@ -190,25 +195,24 @@ class BundleResult:
     """Output of the cutting-plane run.
 
     ``x_model`` minimizes the final model subproblem, ``x_best`` is the best
-    objective iterate, ``gap`` = g_y^eta(x_best) - model value at x_model is
-    the termination certificate: x_best is a gap-accurate minimizer of
-    g_y^eta.  ``qp_gap`` is the dual certificate gap of the final model
-    subproblem (0 for the one-plane closed form, 0 up to rounding for the
-    two-plane one, at most the solver's tolerance for three or more
-    planes): the model objective is at least ``model_value - qp_gap`` +
-    ||x - x_model||^2/(2 eta_mu), which is the offset of the sampler's
-    lower envelope (``envelope_offset``).
+    objective iterate, and the last gap ``gaps[-1]`` = g_y^eta(x_best) -
+    model value at x_model is the termination certificate: x_best is a
+    gap-accurate minimizer of g_y^eta.  ``qp_gap`` is the dual certificate
+    gap of the final model subproblem (0 for the one-plane closed form, 0
+    up to rounding for the two-plane one, at most the solver's tolerance
+    for three or more planes): the model objective is at least
+    ``model_value - qp_gap`` + ||x - x_model||^2/(2 eta_mu), which is the
+    offset of the sampler's lower envelope (``envelope_offset``).
 
     ``gaps`` holds t_1..t_J and ``planes`` the J cuts in insertion order:
     plane 0 is cut at y and plane j at the model point x_j; ``x_model`` is
-    x_J, where no plane is cut.
+    x_J, where no plane is cut.  Each cut is one subgradient query, so
+    ``iterations`` J is also the query count.
     """
 
     x_model: Array
     x_best: Array
     iterations: int
-    gap: float
-    oracle_calls: int
     best_value: float
     model_value: float
     delta: float
@@ -486,10 +490,10 @@ def prox_bundle(
     iteration minimizes the current model subproblem, updates the best
     iterate (ties keep the older one, for determinism), and cuts a new plane
     at the model minimizer.  On return, g_y^eta(x_best) - min g_y^eta <=
-    gap <= delta.  Termination comparisons are absolute, no rescaling.
+    gaps[-1] <= delta.  Termination comparisons are absolute, no rescaling.
     Reaching ``max_iter`` above delta raises ``BundleLimitError`` with the
-    result, one oracle call per iteration.  A non-finite g_y^eta at y (y
-    not finite) raises ``ValueError``.
+    result, one oracle call per iteration.  A non-finite g_y^eta at y
+    raises ``NonFiniteObjectiveError``.
     """
     _finite_real(delta, "delta")
     _integer_at_least(max_iter, "max_iter", 1)
@@ -501,7 +505,6 @@ def prox_bundle(
     y = obj.y
     f_y = f_value(y)
     planes = [CuttingPlane(y, f_y, f_subgrad(y))]
-    oracle_calls = 1
     x_best = y
     # g_y^eta(y) = (f(y) + (mu/2)||y - x0||^2) + 0.0: no y - y, which is
     # inf - inf at an infinite y; ||. - x0||^2 is skipped where mu/2 is 0
@@ -511,7 +514,7 @@ def prox_bundle(
         s_x = float(dx @ dx)
     best_value = (float(f_y) + half_mu * s_x) + 0.0
     if not math.isfinite(best_value):
-        raise ValueError(f"g_y^eta is {best_value} at y = {y.tolist()}")
+        raise NonFiniteObjectiveError(f"g_y^eta is {best_value} at y = {y.tolist()}")
     c, curv = obj.quad_center, obj.eta_mu
 
     gaps = []
@@ -538,14 +541,11 @@ def prox_bundle(
         if t_j <= delta or j == max_iter:
             break
         planes.append(CuttingPlane(x_j, f_j, f_subgrad(x_j)))
-        oracle_calls += 1
 
     res = BundleResult(
         x_model=x_j,
         x_best=x_best,
         iterations=j,
-        gap=t_j,
-        oracle_calls=oracle_calls,
         best_value=best_value,
         model_value=m_j,
         delta=delta,

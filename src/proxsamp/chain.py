@@ -68,40 +68,34 @@ class ChainConfig:
 
 @dataclass(frozen=True, eq=False)
 class ChainTrace:
-    """Iterates x_0..x_K, auxiliaries y_0..y_{K-1}, per-step diagnostics."""
+    """Iterates x_0..x_K and the per-step counts of proposals rejected and
+    bundle iterations (0 in exact mode)."""
 
     iterates: Array
-    aux: Array
     rejections: Array
     bundle_iters: Array
-    subgrad_calls: Array
     config: ChainConfig
 
     def __post_init__(self):
-        k = self.config.n_iters
-        if self.iterates.shape[0] != k + 1 or self.aux.shape[0] != k:
+        if self.iterates.shape[0] != self.config.n_iters + 1:
             raise ValueError("trace length inconsistent with config")
 
-    @property
-    def final(self) -> Array:
-        return self.iterates[-1]
-
     def to_csv(self, path) -> None:
+        """One row per iterate.  The ``subgrad_calls`` column repeats
+        ``bundle_iters``: each bundle iteration makes one subgradient query."""
         d = self.iterates.shape[1]
         header = (
             "k," + ",".join(f"x{i}" for i in range(d)) + ",rejections,bundle_iters,subgrad_calls"
         )
         # repr of a Python float is its shortest round-trip form
         xs = self.iterates.tolist()
-        counts = zip(
-            self.rejections.tolist(), self.bundle_iters.tolist(), self.subgrad_calls.tolist()
-        )
+        counts = zip(self.rejections.tolist(), self.bundle_iters.tolist())
         with open(path, "w") as fh:
             fh.write(header + "\n")
             fh.write(",".join(map(repr, [0, *xs[0], 0, 0, 0])) + "\n")
             fh.writelines(
-                ",".join(map(repr, [k, *x, *c])) + "\n"
-                for k, (x, c) in enumerate(zip(xs[1:], counts), start=1)
+                ",".join(map(repr, [k, *x, r, j, j])) + "\n"
+                for k, (x, (r, j)) in enumerate(zip(xs[1:], counts), start=1)
             )
 
 
@@ -290,8 +284,8 @@ def gibbs_step(
 
     ``obj`` is the chain's objective g_y^eta, its ``y`` set to the drawn y_k;
     x_k must have shape (dim,) (``ValueError`` otherwise), and a
-    non-finite x_k makes the inner oracle raise ``ValueError`` naming y.  A
-    ``SamplerError`` of the inner oracle is re-raised with y added to its
+    non-finite x_k makes the inner oracle raise ``NonFiniteObjectiveError``.
+    A ``SamplerError`` of the inner oracle is re-raised with y added to its
     ``context``.  No step-size check: ``run_chain`` makes it once per chain.
     """
     # the chain's own iterate passes without the cost of ``_check_point``
@@ -349,28 +343,17 @@ def run_chain(
     rng = np.random.default_rng(config.seed)
 
     iterates = np.empty((k + 1, d))
-    aux = np.empty((k, d))
     rejections = np.zeros(k, dtype=np.int64)
     bundle_iters = np.zeros(k, dtype=np.int64)
-    subgrad_calls = np.zeros(k, dtype=np.int64)
     iterates[0] = x
     for i in range(k):
         try:
-            y, sample = gibbs_step(x, obj, rgo_cfg, rng)
+            _, sample = gibbs_step(x, obj, rgo_cfg, rng)
         except SamplerError as err:
             err.context.update(step=i, seed=config.seed)
             raise
         x = sample.x
-        aux[i] = y
         iterates[i + 1] = x
         rejections[i] = sample.rejections
         bundle_iters[i] = sample.bundle_iters
-        subgrad_calls[i] = sample.subgrad_calls
-    return ChainTrace(
-        iterates=iterates,
-        aux=aux,
-        rejections=rejections,
-        bundle_iters=bundle_iters,
-        subgrad_calls=subgrad_calls,
-        config=config,
-    )
+    return ChainTrace(iterates=iterates, rejections=rejections, bundle_iters=bundle_iters, config=config)

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 check failure, 2 usage error (checked before any
 chain runs, naming the config key), 3 sampler failure (a bundle, model QP
-or rejection cap reached, or an envelope violation; the message names the
-chain, the step, the seed and y).  Configuration is a single JSON file
+or rejection cap reached, an envelope violation, or g_y^eta not finite
+where a sweep starts; the message names the chain, the step, the seed
+and y).  Configuration is a single JSON file
 with flat sections (target, regime, chain, output); every default is
 printable via ``proxsamp config --defaults``.
 """
@@ -69,10 +70,11 @@ class UsageError(Exception):
 @contextlib.contextmanager
 def _config_keys(keys: str):
     """Report a bad config value, rejected inside the block, as a
-    ``UsageError`` naming the config ``keys`` it came from."""
+    ``UsageError`` naming the config ``keys`` it came from; a ``MemoryError``
+    is a dimension whose arrays numpy cannot allocate."""
     try:
         yield
-    except (ValueError, TypeError, KeyError, OverflowError) as e:
+    except (ValueError, TypeError, KeyError, OverflowError, MemoryError) as e:
         what = f"missing {e}" if isinstance(e, KeyError) else e
         raise UsageError(f"{what} ({keys} in the config)") from e
 
@@ -165,6 +167,8 @@ def resolve_parameters(cfg: dict) -> dict:
         budget = select_num_iters(
             eps=float(eps) if eps is not None else 0.2, eta=eta, mu=modulus, d=dim
         )
+    with _config_keys("regime.delta"):
+        bound = rejection_bound(rgo, profile, dim, mu=mu)
     return {
         "potential": pot,
         "eta": eta,
@@ -173,7 +177,7 @@ def resolve_parameters(cfg: dict) -> dict:
         "moments": moments,
         "budget": budget,
         "kind": kind,
-        "bound": rejection_bound(rgo, profile, dim, mu=mu),
+        "bound": bound,
     }
 
 
@@ -278,9 +282,11 @@ def cmd_sample(args) -> int:
 
     counts = {
         key: np.concatenate([getattr(t, key) for t in traces])
-        for key in ("rejections", "bundle_iters", "subgrad_calls")
+        for key in ("rejections", "bundle_iters")
     }
     totals = {key: int(c.sum()) for key, c in counts.items()}
+    # prox_bundle cuts one plane, so makes one subgradient query, per iteration
+    totals["subgrad_calls"] = totals["bundle_iters"]
     proposals = counts["rejections"] + 1
     manifest = {
         "version": __version__,
@@ -311,7 +317,7 @@ def cmd_sample(args) -> int:
         "mean_proposals_per_step": (totals["rejections"] + steps) / steps,
         **_distribution("proposals", proposals),
         **_distribution("bundle_iters", counts["bundle_iters"]),
-        **_distribution("subgrad_calls", counts["subgrad_calls"]),
+        **_distribution("subgrad_calls", counts["bundle_iters"]),
         "rejection_bound": bound,
         "rejection_bound_condition_ok": math.isfinite(bound),
         "chain_mean_proposals_per_step": chain_means,

@@ -387,7 +387,11 @@ def make_power_norm(dim: int, alpha: float, c: float = 1.0) -> Potential:
             from scipy.optimize import brentq
 
             y = np.asarray(y, dtype=float)
-            r = float(np.linalg.norm(y))
+            with np.errstate(over="ignore"):
+                r = float(np.linalg.norm(y))
+            if r == math.inf:  # ||y||^2 overflows past ||y|| ~ 1.34e154
+                m = float(np.abs(y).max())
+                r = m * float(np.linalg.norm(y / m))
             if r == 0.0:
                 return np.zeros(dim)
             t = brentq(
@@ -602,10 +606,13 @@ def positively_spans(normals: Array) -> bool:
     A hinge sum sum_i max(0, <a_i, x> + b_i) grows linearly along every ray,
     so that exp(-f) has finite mass, exactly when its normals a_i do.  That
     holds iff rank(A) = d and some lambda >= 1 has A' lambda = 0, which
-    ``scipy.optimize.linprog`` decides as a feasibility problem.
+    ``scipy.optimize.linprog`` decides as a feasibility problem, on rows
+    scaled to unit max-norm so that its absolute tolerances ignore scale.
     """
     from scipy.optimize import linprog
 
+    scale = np.abs(normals).max(axis=1)
+    normals = normals / np.where(scale > 0.0, scale, 1.0)[:, None]
     n, d = normals.shape
     if np.linalg.matrix_rank(normals) < d:
         return False

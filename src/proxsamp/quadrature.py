@@ -46,7 +46,8 @@ def _simpson_weights(n: int) -> Array:
 
 
 def _expand_bounds_1d(f: Callable, center: float, threshold: float):
-    """Grow [lo, hi] around the minimum until f clears f_min + threshold."""
+    """Grow [lo, hi] around the minimum until f clears f_min + threshold;
+    a ``ValueError`` where 200 growth steps do not reach it."""
     span = 1.0
     f_center = f(np.array([center]))
     lo, hi = center - span, center + span
@@ -62,7 +63,7 @@ def _expand_bounds_1d(f: Callable, center: float, threshold: float):
             grown = True
         if not grown:
             return lo, hi
-    raise RuntimeError("could not bracket the density support (non-integrable f?)")
+    raise ValueError("could not bracket the density support: f is too flat or not integrable")
 
 
 def _snapped_grid(lo: float, hi: float, anchor: float, n_points: int) -> Array:
@@ -127,9 +128,10 @@ class QuadratureDensity:
         n_points: Optional[int] = None,
     ) -> "QuadratureDensity":
         """Tabulate exp(-f) on a lattice bracketing the slices through
-        ``center``; raise ``ValueError`` when the boundary cells hold more
-        than ``TRUNCATION_BUDGET`` of the mass (f decays slowly off the
-        axes through ``center``)."""
+        ``center``; raise ``ValueError`` when f is too flat to bracket on
+        an axis, or when the boundary cells hold more than
+        ``TRUNCATION_BUDGET`` of the mass (f decays slowly off the axes
+        through ``center``)."""
         if dim not in (1, 2):
             raise ValueError("quadrature ground truth supports d <= 2 only")
         if center is None:

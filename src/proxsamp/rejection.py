@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import BundleResult, ProxObjective, SamplerError, eta_mu_of, prox_bundle
+from .bundle import BundleResult, NonFiniteObjectiveError, ProxObjective, SamplerError, eta_mu_of, prox_bundle
 from .potentials import Array, SmoothnessProfile, _check_point, _finite_real, _in_float_range, _pow_rows, _row_dots
 
 # the bundle-mode lower envelope, recorded in manifest.json: a change to it
@@ -79,7 +79,6 @@ class RgoSample:
     center: Array
     envelope_offset: float
     log_accept_ratio: float
-    subgrad_calls: int
 
 
 def lower_envelope(x: Array, center: Array, offset: float, inv_two_eta_mu: float):
@@ -184,16 +183,19 @@ def rejection_bound(
     Exact semi-smooth: 2.  Bundle semi-smooth: 2 exp(delta).  Smooth:
     exp(1/2 + delta).  Composite: 2 exp(1/2 + delta).  +inf when eta_mu =
     eta/(1 + eta mu) fails the profile's ``step_guard``: sampling stays
-    exact, but no bound applies.
+    exact, but no bound applies.  A bound that overflows (delta above
+    about 709) is a ``ValueError`` naming its rule.
     """
     if not eta_mu_of(cfg.eta, mu) <= step_guard(profile, dim) * (1.0 + 1e-12):
         return math.inf
     delta_eff = cfg.delta if cfg.mode == "bundle" else 0.0
     if profile.l_one > 0 and profile.l_alpha > 0:
-        return 2.0 * math.exp(0.5 + delta_eff)
-    if profile.l_one > 0:
-        return math.exp(0.5 + delta_eff)
-    return 2.0 * math.exp(delta_eff)
+        rule, bound = "2 exp(1/2 + delta)", lambda: 2.0 * math.exp(0.5 + delta_eff)
+    elif profile.l_one > 0:
+        rule, bound = "exp(1/2 + delta)", lambda: math.exp(0.5 + delta_eff)
+    else:
+        rule, bound = "2 exp(delta)", lambda: 2.0 * math.exp(delta_eff)
+    return _in_float_range(bound, f"the proposal bound {rule}", delta=delta_eff)
 
 
 def rgo_sample(
@@ -207,8 +209,8 @@ def rgo_sample(
     (log U <= h1(X) - g_y^eta(X)) to avoid underflow, with h1 the
     ``lower_envelope``.  In bundle mode the cutting-plane run happens once
     per call; its model minimizer is the center and ``envelope_offset`` the
-    offset for all proposals.  A non-finite g_y^eta at the start (y not
-    finite) raises ``ValueError``.  The points this builds itself (center
+    offset for all proposals.  A non-finite g_y^eta at the start raises
+    ``NonFiniteObjectiveError``.  The points this builds itself (center
     and proposals) are evaluated without shape checks.  ``MAX_REJECTIONS``
     caps the proposals; the step-size guard is checked by ``run_chain``.
     An envelope above g_y^eta by more than 1e-9 max(1, |offset|), the
@@ -219,18 +221,16 @@ def rgo_sample(
     value = obj._value
 
     bundle_iters = 0
-    subgrad_calls = 0
     if cfg.mode == "exact":
         center = prox_of_target(obj)
         offset = value(center)
         if not math.isfinite(offset):
-            raise ValueError(f"g_y^eta is {offset} at the prox point of y = {obj.y.tolist()}")
+            raise NonFiniteObjectiveError(f"g_y^eta is {offset} at the prox point of y = {obj.y.tolist()}")
     else:
         res: BundleResult = prox_bundle(obj, cfg.delta)
         center = res.x_model
         offset = envelope_offset(res.best_value, res.model_value, res.qp_gap, res.delta)
         bundle_iters = res.iterations
-        subgrad_calls = res.oracle_calls
 
     inv_two_eta_mu = obj.inv_two_eta_mu
     scale = obj.sqrt_eta_mu
@@ -252,7 +252,6 @@ def rgo_sample(
                 center=center,
                 envelope_offset=offset,
                 log_accept_ratio=log_ratio,
-                subgrad_calls=subgrad_calls,
             )
     raise RejectionLimitError(
         f"no acceptance within {MAX_REJECTIONS} proposals "

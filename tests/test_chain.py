@@ -229,7 +229,6 @@ class TestChain:
         cfg = ChainConfig(eta=0.25, delta=1.0, mu=0.0, center_x0=(0.0,), n_iters=0, seed=1)
         trace = run_chain(pot, cfg)
         assert trace.iterates.shape == (1, 1)
-        assert trace.aux.shape == (0, 1)
 
     def test_deterministic_replay(self):
         pot = make_l1(2, 1.0)
@@ -238,7 +237,6 @@ class TestChain:
         t1 = run_chain(pot, cfg)
         t2 = run_chain(pot, cfg)
         np.testing.assert_array_equal(t1.iterates, t2.iterates)
-        np.testing.assert_array_equal(t1.aux, t2.aux)
         np.testing.assert_array_equal(t1.rejections, t2.rejections)
 
     def test_chains_differ_across_seeds(self):
@@ -331,7 +329,7 @@ class TestChain:
                 else:
                     lines.append(
                         f"{k},{xs},{int(trace.rejections[k - 1])},"
-                        f"{int(trace.bundle_iters[k - 1])},{int(trace.subgrad_calls[k - 1])}"
+                        f"{int(trace.bundle_iters[k - 1])},{int(trace.bundle_iters[k - 1])}"
                     )
             return ("\n".join(lines) + "\n").encode()
 
@@ -427,8 +425,8 @@ class TestBoundaryChecks:
             lambda: BundleLimitError(
                 "bundle cap",
                 BundleResult(
-                    x_model=np.zeros(2), x_best=np.ones(2), iterations=4, gap=0.5, oracle_calls=4,
-                    best_value=1.5, model_value=1.0, delta=0.1, qp_gap=0.0,
+                    x_model=np.zeros(2), x_best=np.ones(2), iterations=4,
+                    best_value=1.5, model_value=1.0, delta=0.1, qp_gap=0.0, gaps=(2.0, 1.0, 0.75, 0.5),
                 ),
             ),
             lambda: RejectionLimitError("proposal cap", 1000, np.array([2.0])),
@@ -451,7 +449,7 @@ class TestBoundaryChecks:
         for key, value in attrs.items():
             if isinstance(value, BundleResult):
                 assert back.result.x_best.tolist() == value.x_best.tolist()
-                assert (back.result.iterations, back.result.gap) == (value.iterations, value.gap)
+                assert (back.result.iterations, back.result.gaps) == (value.iterations, value.gaps)
             elif isinstance(value, np.ndarray):
                 assert getattr(back, key).tolist() == value.tolist()
             else:
@@ -526,9 +524,25 @@ def _l1_config(d):
     return ChainConfig(eta=eta, delta=delta, mu=0.0, center_x0=(0.0,) * d, n_iters=2, seed=0)
 
 
-def _trace_digest(trace):
+def _aux_points(pot, trace):
+    """The auxiliary points y_0..y_{K-1} of a chain, re-drawn by replaying
+    its sweeps through ``gibbs_step``, which must give the same iterates."""
+    cfg = trace.config
+    x = trace.iterates[0]
+    obj = ProxObjective(RegularizedTarget(pot, cfg.mu, cfg.center_x0), cfg.eta, x)
+    rng = np.random.default_rng(cfg.seed)
+    ys = np.empty((cfg.n_iters, pot.dim))
+    for i in range(cfg.n_iters):
+        ys[i], sample = gibbs_step(x, obj, cfg.rgo(), rng)
+        x = sample.x
+        assert x.tolist() == trace.iterates[i + 1].tolist()
+    return ys
+
+
+def _trace_digest(pot, trace):
+    # bundle_iters enters twice, once where the subgrad_calls counts were
     h = hashlib.sha256()
-    for a in (trace.iterates, trace.aux, trace.rejections, trace.bundle_iters, trace.subgrad_calls):
+    for a in (trace.iterates, _aux_points(pot, trace), trace.rejections, trace.bundle_iters, trace.bundle_iters):
         h.update(np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<")).tobytes())
     return h.hexdigest()
 
@@ -553,8 +567,9 @@ class TestSeedReplay:
       ``test_rgo_sample_alternating_modes``): before the per-chain sweep
       constants, which left every pin here unchanged.
 
-    The chain digests cover iterates, aux, rejections, bundle_iters and
-    subgrad_calls."""
+    The chain digests cover the iterates, the auxiliary points (re-drawn
+    through ``gibbs_step``), rejections and bundle_iters; bundle_iters enters
+    twice, as it did when the trace also held its subgradient-query count."""
 
     def test_l1_bundle_regularized(self):
         pot = make_l1(1, 1.0)
@@ -571,7 +586,7 @@ class TestSeedReplay:
         assert trace.iterates[:, 0].tolist() == [float.fromhex(h) for h in expected]
         assert trace.rejections.tolist() == [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0]
         assert trace.bundle_iters.tolist() == [1] * 12
-        assert _trace_digest(trace) == "157009da7f27b9651d05e4b89a216f5d63352d4038ebf7d00031405b23276284"
+        assert _trace_digest(pot, trace) == "157009da7f27b9651d05e4b89a216f5d63352d4038ebf7d00031405b23276284"
 
     def test_power_norm_bundle_d20(self):
         pot = make_power_norm(20, 0.5)
@@ -587,11 +602,10 @@ class TestSeedReplay:
             "0x1.ea003a903237bp-1", "0x1.c28a0c0699400p-3", "0x1.d4c7b7fbcb9e2p-1",
             "0x1.ccfcd759d658ap-1", "0x1.b1fb73fc76d3ap-1",
         ]
-        assert trace.final.tolist() == [float.fromhex(h) for h in expected]
+        assert trace.iterates[-1].tolist() == [float.fromhex(h) for h in expected]
         assert trace.rejections.tolist() == [0, 1, 0, 0, 0, 0]
         assert trace.bundle_iters.tolist() == [2] * 6
-        assert trace.subgrad_calls.tolist() == [2] * 6
-        assert _trace_digest(trace) == "a125685d15138e8da72bda12b5ebfd98922a7f763fef7ebbf58f43092b056646"
+        assert _trace_digest(pot, trace) == "a125685d15138e8da72bda12b5ebfd98922a7f763fef7ebbf58f43092b056646"
 
     def test_gaussian_exact_regularized(self):
         pot = make_gaussian(3, (1.0, 2.0, 4.0))
@@ -600,9 +614,9 @@ class TestSeedReplay:
         )
         trace = run_chain(pot, cfg)
         expected = ["-0x1.4bdee1bca6a44p-1", "-0x1.3e44466e067f0p-2", "-0x1.d78b7d8c48131p-1"]
-        assert trace.final.tolist() == [float.fromhex(h) for h in expected]
+        assert trace.iterates[-1].tolist() == [float.fromhex(h) for h in expected]
         assert trace.rejections.tolist() == [0, 1, 0, 0, 0, 0, 0, 1, 0, 3]
-        assert _trace_digest(trace) == "700d4d25107d8ddc2e6b28d92f4ce5eda775b3b7abf311261f8a2aa5c9b45779"
+        assert _trace_digest(pot, trace) == "700d4d25107d8ddc2e6b28d92f4ce5eda775b3b7abf311261f8a2aa5c9b45779"
 
     def test_gaussian_bundle_active_set_d5(self):
         # delta = 1e-6 forces five bundle iterations, so the model QP of the
@@ -617,10 +631,10 @@ class TestSeedReplay:
             "-0x1.b6d4ab3a685a8p+0", "-0x1.e677c5faf8342p-1", "-0x1.d0c7b1906923ap-1",
             "0x1.622a8d72795b6p-1", "-0x1.33b731a53d0a7p-3",
         ]
-        assert trace.final.tolist() == [float.fromhex(h) for h in expected]
+        assert trace.iterates[-1].tolist() == [float.fromhex(h) for h in expected]
         assert trace.rejections.tolist() == [2, 1, 0, 1, 0, 1, 0, 0]
         assert trace.bundle_iters.tolist() == [5] * 8
-        assert _trace_digest(trace) == "86545bdb565acf85bb8f2061796eab44b6cb9b0897ebd98129b61992958eed22"
+        assert _trace_digest(pot, trace) == "86545bdb565acf85bb8f2061796eab44b6cb9b0897ebd98129b61992958eed22"
 
     def test_l1_exact_unregularized(self):
         # the path of the stationarity and tv-decay suites: exact mode, mu = 0
@@ -640,7 +654,7 @@ class TestSeedReplay:
         ]
         assert trace.iterates[:, 0].tolist() == [float.fromhex(h) for h in expected]
         assert trace.rejections.tolist() == [0] * 12
-        assert _trace_digest(trace) == "0fa8f7c408f3bfd3eec66a14762d0f4e0fd897e4761d75bb5d9095a7be101aa5"
+        assert _trace_digest(pot, trace) == "0fa8f7c408f3bfd3eec66a14762d0f4e0fd897e4761d75bb5d9095a7be101aa5"
 
     def test_power_norm_bundle_regularized_off_centre(self):
         # mu > 0 and a non-zero centre enter the shifted prox centre; delta =
@@ -655,10 +669,9 @@ class TestSeedReplay:
             "0x1.42c37396a740ap-1", "-0x1.ccf7931562d53p+0", "0x1.0f77e64a293bdp-1",
             "-0x1.ed655412a8b7cp-1", "0x1.1e0779abcc4dap-1",
         ]
-        assert trace.final.tolist() == [float.fromhex(h) for h in expected]
+        assert trace.iterates[-1].tolist() == [float.fromhex(h) for h in expected]
         assert trace.bundle_iters.tolist() == [2] * 10
-        assert trace.subgrad_calls.tolist() == [2] * 10
-        assert _trace_digest(trace) == "4b71d3762f08ec8184dc47e32bd3339a902388e32de96ad5ee2958ecf479c6e8"
+        assert _trace_digest(pot, trace) == "4b71d3762f08ec8184dc47e32bd3339a902388e32de96ad5ee2958ecf479c6e8"
 
     def test_rgo_sample_alternating_modes(self):
         # A8's call pattern: one objective, one Generator, exact and bundle
@@ -673,7 +686,7 @@ class TestSeedReplay:
         for i in range(200):
             s = rgo_sample(obj, cfgs[i % 2], rng)
             h.update(np.array([*s.x, *s.center, s.envelope_offset, s.log_accept_ratio], dtype="<f8").tobytes())
-            counts.append((s.rejections, s.bundle_iters, s.subgrad_calls))
+            counts.append((s.rejections, s.bundle_iters, s.bundle_iters))
         h.update(np.array(counts, dtype="<i8").tobytes())
         assert h.hexdigest() == "240bf13dd9cfa263fc5ec3cefc3711b76430e904b5f8f9b67cc7d4794fa4d59a"
 

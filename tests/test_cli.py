@@ -292,9 +292,11 @@ class TestParams:
              "diag_precision must hold real numbers, got ['2'] (target in the config)"),
             ({"target": {"name": "quad_plus_l1", "dim": 2, "params": {"q_diagonal": [1.0, False]}}},
              "q_diagonal must hold real numbers, got [1.0, False] (target in the config)"),
+            ({"target": {"name": "l1", "dim": 10**16}},
+             "for an array with shape (10000000000000000,) and data type float64 (target in the config)"),
         ],
         ids=["eta-bool", "eta-string", "delta-bool", "eps-bool", "mu-bool", "scale-bool", "alpha-bool",
-             "eta-huge-int", "precision-bool", "precision-string", "q-diagonal-bool"],
+             "eta-huge-int", "precision-bool", "precision-string", "q-diagonal-bool", "dim-huge-int"],
     )
     def test_bool_string_or_huge_number_is_usage_error(self, capsys, tmp_path, config, message):
         # true and "0.1" are not JSON numbers: read as 1 and 0.1 they would
@@ -327,14 +329,24 @@ class TestParams:
              ["semi-smooth step rule leaves float range", "(target, regime.kind in the config)"]),
             ({"target": {"name": "power_norm", "dim": 1, "params": {"alpha": 1.0, "c": 1e300}}}, 2,
              ["mu rule needs the fourth moment of power_norm", "(regime.mu, regime.eps in the config)"]),
+            ({"target": {"name": "l1", "dim": 1}, "regime": {"delta": 1000}}, 2,
+             ["the proposal bound 2 exp(delta) leaves float range", "delta = 1000.0", "(regime.delta in the config)"]),
+            ({"target": {"name": "l1", "dim": 1}, "regime": {"delta": 700}}, 0, []),
+            ({"target": {"name": "hinge_sum", "dim": 1, "params": {"planes": [[[1e-9], 0.0]]}}}, 2,
+             ["exp(-f) is not a probability density (target in the config)"]),
+            ({"target": {"name": "hinge_sum", "dim": 1, "params": {"planes": [[[1e-73], 0.0], [[-1e-73], 0.0]]}}}, 2,
+             ["could not bracket the density support: f is too flat or not integrable: set mu explicitly",
+              "(regime.mu, regime.eps in the config)"]),
         ],
         ids=["quad_l1-scale-172529", "quad_l1-scale-1e300", "eps-1e-320", "l1-scale-1e-200", "l1-scale-1e-200-mu",
-             "l1-scale-1e80", "l1-scale-1e200", "power_norm-c-1e300", "power_norm-alpha-1-c-1e300"],
+             "l1-scale-1e80", "l1-scale-1e200", "power_norm-c-1e300", "power_norm-alpha-1-c-1e300",
+             "l1-delta-1000", "l1-delta-700", "hinge-normal-1e-9", "hinge-pair-1e-73"],
     )
     def test_rule_out_of_float_range_is_usage_error(self, capsys, tmp_path, config, code, messages):
-        # extreme but finite inputs under- or overflow a moment, step or
-        # budget rule: the error names the rule and its config keys, never a
-        # bare ZeroDivisionError or "(34, 'Numerical result out of range')"
+        # extreme but finite inputs under- or overflow a moment, step,
+        # budget or bound rule, or fall below a solver's tolerance or the
+        # quadrature box: the error names the rule and its config keys, never
+        # a bare ZeroDivisionError or "(34, 'Numerical result out of range')"
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(config))
         got, out, err = run_cli(["params", "--config", str(cfg)], capsys)
@@ -564,6 +576,29 @@ class TestSample:
         assert code == 3
         assert err.startswith(f"error: {error}: ")
         assert "(chain 0, step " in err and ", seed 3, y [" in err
+        assert "Traceback" not in err
+
+    # f overflows at the far point, as it should
+    @pytest.mark.filterwarnings("ignore:overflow encountered in (multiply|matmul):RuntimeWarning")
+    @pytest.mark.parametrize(
+        "target, regime, x_init, where",
+        [
+            ({"name": "gaussian", "dim": 1}, {"kind": "composite"}, 1e200, "at y = [1e+200]"),
+            ({"name": "gaussian", "dim": 1}, {"kind": "composite", "rgo_mode": "exact"}, 1e200,
+             "at the prox point of y = [1e+200]"),
+            ({"name": "power_norm", "dim": 1, "params": {"alpha": 0.5}}, {"rgo_mode": "exact"}, 1e300,
+             "at the prox point of y = [1e+300]"),
+        ],
+        ids=["gaussian-bundle", "gaussian-exact", "power_norm-exact"],
+    )
+    def test_far_finite_x_init_is_a_sampler_failure(self, capsys, tmp_path, target, regime, x_init, where):
+        # f overflows to inf at a finite start: exit 3 with the chain, the
+        # step, the seed and y, not a traceback
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"target": target, "regime": regime, "chain": {"n_iters": 3, "x_init": [x_init]}}))
+        code, _, err = run_cli(["sample", "--config", str(cfg), "--out-dir", str(tmp_path / "o")], capsys)
+        assert code == 3
+        assert err.startswith(f"error: NonFiniteObjectiveError: g_y^eta is inf {where} (chain 0, step 0, seed 0, y [")
         assert "Traceback" not in err
 
     def test_wrong_x_init_length_is_usage_error(self, capsys, tmp_path):

@@ -155,6 +155,16 @@ class TestZoo:
             z = f.prox(eta, np.array([y]))
             assert z[0] == pytest.approx(grid_prox_oracle(f.value, eta, y), abs=2e-4)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    @pytest.mark.parametrize("y", [[1e300], [1e200, -1e200]], ids=["d1", "d2"])
+    def test_power_norm_prox_far_from_the_origin(self, alpha, y):
+        # ||y||^2 overflows past ||y|| ~ 1.34e154: the prox radius is
+        # rescaled there, so the prox stays finite and on the ray of y
+        y = np.array(y)
+        z = make_power_norm(len(y), alpha).prox(0.5, y)
+        assert np.all(np.isfinite(z))
+        np.testing.assert_allclose(z, y, rtol=1e-12)
+
     def test_quad_plus_l1_prox_matches_grid(self):
         f = make_quad_plus_l1(1, (2.0,), 1.5)
         for y, eta in [(2.0, 0.5), (-3.0, 0.25), (0.4, 1.0)]:
@@ -208,6 +218,15 @@ class TestZoo:
         x = np.random.default_rng(d).standard_normal(d) * 2.0
         expected = np.maximum(np.abs(q @ x) - 0.5, 0.0).sum()
         assert default_zoo(d)["hinge_sum"].value(x) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-73, 1e-9, 1.0, 1e9, 1e300])
+    def test_positive_span_ignores_scale(self, scale):
+        # a lone normal spans no line and +-e_1 do; once a solver tolerance
+        # decided it for normals of size 1e-9
+        assert not positively_spans(np.array([[scale]]))
+        assert positively_spans(np.array([[scale], [-scale]]))
+        assert not positively_spans(np.array([[scale, 0.0], [-scale, 0.0], [0.0, scale]]))
+        assert positively_spans(np.array([[scale, 0.0], [-1.0, 0.0], [0.0, scale], [0.0, -1.0], [0.0, 0.0]]))
 
     @pytest.mark.parametrize("d", [1, 2, 5, 20])
     def test_zoo_hinge_profile_is_subgradient_diameter(self, d):

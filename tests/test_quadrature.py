@@ -26,6 +26,12 @@ class TestDensityBuild:
         assert math.exp(q.log_z) == pytest.approx(2.0, rel=1e-9)
         assert q.truncation_error < 1e-8
 
+    def test_too_flat_to_bracket_is_a_value_error(self):
+        # a proper density, but 200 growth steps of the box stop short of
+        # f_min + TAIL_THRESHOLD
+        with pytest.raises(ValueError, match="could not bracket the density support"):
+            QuadratureDensity.build(make_l1(1, 1e-73).value, 1)
+
     def test_gaussian_normalizer(self):
         q = QuadratureDensity.build(make_gaussian(1, (1.0,)).value, 1)
         assert math.exp(q.log_z) == pytest.approx(math.sqrt(2 * math.pi), rel=1e-10)

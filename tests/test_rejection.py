@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import warnings
 
@@ -8,11 +9,13 @@ import pytest
 from proxsamp import (
     ChainConfig,
     EnvelopeViolationError,
+    NonFiniteObjectiveError,
     Potential,
     ProxObjective,
     RegularizedTarget,
     RejectionLimitError,
     RgoConfig,
+    SamplerError,
     SmoothnessProfile,
     StepSizeWarning,
     envelope_offset,
@@ -20,6 +23,7 @@ from proxsamp import (
     lower_envelope,
     make_gaussian,
     make_l1,
+    make_power_norm,
     prox_bundle,
     prox_of_target,
     rejection_bound,
@@ -264,11 +268,31 @@ class TestRgoSample:
         # at mu = 0 an infinite y gives g_y^eta = inf: the regularizer is
         # skipped, not multiplied by 0
         where = "at the prox point of y" if mode == "exact" else "at y"
-        want = rf"g_y\^eta is inf {where} = \[inf\]$" if bad == math.inf else r"g_y\^eta is nan .*y = \[(nan|inf)\]"
+        # gibbs_step adds y to the error's context
+        want = (rf"g_y\^eta is inf {where} = \[inf\] \(y \[inf\]\)$" if bad == math.inf
+                else r"g_y\^eta is nan .*y = \[(nan|inf)\]")
         start = time.perf_counter()
-        with pytest.raises(ValueError, match=want):
+        with pytest.raises(NonFiniteObjectiveError, match=want) as exc:
             gibbs_step(np.array([bad]), obj, cfg, np.random.default_rng(0))
+        assert isinstance(exc.value, ValueError)
         assert time.perf_counter() - start < 1.0
+
+    # f overflows at the far point, as it should
+    @pytest.mark.filterwarnings("ignore:overflow encountered in (multiply|matmul):RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["exact", "bundle"])
+    @pytest.mark.parametrize(
+        "pot, x", [(make_gaussian(1, (1.0,)), [1e200]), (make_power_norm(1, 0.5), [1e300])], ids=["gaussian", "power_norm"]
+    )
+    def test_far_finite_start_is_a_sampler_error(self, mode, pot, x):
+        # f overflows to inf at a finite point: a typed sampler failure that
+        # run_chain gives its step and seed, not a bare ValueError
+        eta, delta = select_params_composite(pot.profile, 1)
+        cfg = ChainConfig(eta=eta, delta=delta, mu=0.0, center_x0=(0.0,), n_iters=3, seed=5, rgo_mode=mode)
+        with pytest.raises(SamplerError, match=r"g_y\^eta is inf") as exc:
+            run_chain(pot, cfg, x_init=np.array(x))
+        assert isinstance(exc.value, NonFiniteObjectiveError) and isinstance(exc.value, ValueError)
+        assert exc.value.context["step"] == 0 and exc.value.context["seed"] == 5
+        assert exc.value.context["y"][0] > 1e199
 
     @pytest.mark.parametrize("mu", [0.0, 0.3])
     def test_prox_output_shape_checked(self, mu):
@@ -427,6 +451,24 @@ class TestRejectionBound:
         for mode in ("exact", "bundle"):
             assert math.isfinite(rejection_bound(RgoConfig(eta=eta, delta=delta, mode=mode), prof, 4))
             assert math.isinf(rejection_bound(RgoConfig(eta=eta * 1.01, delta=delta, mode=mode), prof, 4))
+
+    @pytest.mark.parametrize(
+        "profile, rule",
+        [
+            (SmoothnessProfile(alpha=0.0, l_alpha=1.0), "2 exp(delta)"),
+            (SmoothnessProfile(alpha=1.0, l_alpha=0.0, l_one=1.0), "exp(1/2 + delta)"),
+            (SmoothnessProfile(alpha=0.0, l_alpha=1.0, l_one=1.0), "2 exp(1/2 + delta)"),
+        ],
+        ids=["semi-smooth", "smooth", "composite"],
+    )
+    def test_bound_out_of_float_range_names_the_rule(self, profile, rule):
+        # exp overflows past delta ~ 709.78: a ValueError naming the rule,
+        # not an OverflowError; exact mode has no delta in its bound
+        eta = 1e-3
+        assert math.isfinite(rejection_bound(RgoConfig(eta=eta, delta=700.0, mode="bundle"), profile, 1))
+        with pytest.raises(ValueError, match=rf"the proposal bound {re.escape(rule)} leaves float range at delta = 1000.0"):
+            rejection_bound(RgoConfig(eta=eta, delta=1000.0, mode="bundle"), profile, 1)
+        assert math.isfinite(rejection_bound(RgoConfig(eta=eta, delta=1000.0, mode="exact"), profile, 1))
 
     def test_guard_holds_for_eta_mu_not_eta(self):
         # l1 at d = 1 has guard 1/16; eta = 0.07 exceeds it, but at mu = 2
